@@ -24,6 +24,18 @@
 //! BIST diagnosis ([`diagnose_bist`](tve_core::diagnose_bist)): the
 //! located (chain, position) must equal the injected one.
 //!
+//! That loop — goldens, cells, verification, diagnosis — is written
+//! once, in the [`CellPipeline`]. Every mode is a short composition of
+//! it over a selection of cells and a [`CellStore`]:
+//!
+//! * [`run_campaign`] and [`run_campaign_shard`] — every (or every
+//!   owned) cell, [`NoStore`];
+//! * [`run_campaign_journaled`] — the owned cells over a checkpoint
+//!   journal that resumes a killed run;
+//! * [`run_guided_campaign`] — one run per picked fault;
+//! * the `tve-serve` daemon's campaign job — the owned cells over its
+//!   content-addressed result cache with sampled verification.
+//!
 //! ```
 //! use tve_campaign::{generate, run_campaign, CampaignConfig, PopulationSpec};
 //! use tve_sched::Farm;
@@ -52,6 +64,7 @@
 mod engine;
 mod fault;
 mod matrix;
+mod pipeline;
 mod resume;
 mod sample;
 mod shard;
@@ -60,6 +73,7 @@ mod wire;
 pub use engine::{apply_fault, diagnose_scan_fault, run_campaign, run_cell, CampaignConfig};
 pub use fault::{generate, FaultSpec, PopulationSpec, SCANNED_CORES};
 pub use matrix::{CampaignReport, CellOutcome, CellResult, DiagnosisCheck, PrescreenedSchedule};
+pub use pipeline::{CellCounts, CellPipeline, CellRun, CellStore, Hit, NoStore, PipelineError};
 pub use resume::{run_campaign_journaled, run_campaign_journaled_with_io, ResumeSummary};
 pub use sample::{
     run_guided_campaign, run_sampled_campaign, stratum_of, CoverageEstimate, SampledCampaign,

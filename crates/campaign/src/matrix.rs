@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use tve_core::{FailingCell, StuckCell};
+use tve_obs::append_json_string;
 use tve_soc::WrappedCore;
 
 /// What happened when one fault met one schedule.
@@ -214,11 +215,7 @@ impl CampaignReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schedules\": [\n");
         for (i, s) in self.schedules.iter().enumerate() {
-            let sep = if i + 1 < self.schedules.len() {
-                ","
-            } else {
-                ""
-            };
+            let sep = sep(i, self.schedules.len());
             let escapes: Vec<String> = self.escapes(s).iter().map(|e| json_string(e)).collect();
             let _ = writeln!(
                 out,
@@ -231,11 +228,7 @@ impl CampaignReport {
         }
         out.push_str("  ],\n  \"prescreened\": [\n");
         for (i, p) in self.prescreened.iter().enumerate() {
-            let sep = if i + 1 < self.prescreened.len() {
-                ","
-            } else {
-                ""
-            };
+            let sep = sep(i, self.prescreened.len());
             let codes: Vec<String> = p.codes.iter().map(|c| json_string(c)).collect();
             let _ = writeln!(
                 out,
@@ -247,7 +240,7 @@ impl CampaignReport {
         }
         out.push_str("  ],\n  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
+            let sep = sep(i, self.cells.len());
             let mut extra = String::new();
             match &c.outcome {
                 CellOutcome::Detected {
@@ -279,11 +272,7 @@ impl CampaignReport {
         }
         out.push_str("  ],\n  \"diagnosis\": [\n");
         for (i, d) in self.diagnosis.iter().enumerate() {
-            let sep = if i + 1 < self.diagnosis.len() {
-                ","
-            } else {
-                ""
-            };
+            let sep = sep(i, self.diagnosis.len());
             let located: Vec<String> = d
                 .located
                 .iter()
@@ -322,22 +311,17 @@ fn csv_field(s: &str) -> String {
 /// A JSON string literal with the mandatory escapes.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    append_json_string(&mut out, s);
     out
+}
+
+/// The separator after item `i` of `len` JSON array items.
+fn sep(i: usize, len: usize) -> &'static str {
+    if i + 1 < len {
+        ","
+    } else {
+        ""
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Journaled checkpoint/resume: a killed campaign finishes later with a
 //! byte-identical artifact.
 //!
-//! [`run_campaign_journaled`] wraps [`run_campaign_shard`]'s work in an
-//! append-only journal of self-validating records (the `tve-obs`
-//! [`Journal`] format): a header naming the campaign fingerprint, one
-//! record per completed cell, one per completed diagnosis check. Cells
-//! are simulated in worker-sized batches and journaled after each
-//! batch, so a `SIGKILL` loses at most one in-flight batch — on the
+//! [`run_campaign_journaled`] runs the cell pipeline
+//! ([`CellPipeline`]) over a journal store: an append-only journal of
+//! self-validating records (the `tve-obs` [`Journal`] format) holding a
+//! header naming the campaign fingerprint, one record per completed
+//! cell, one per completed diagnosis check. The store asks for
+//! worker-sized farm batches and journals each batch as it lands, so a
+//! `SIGKILL` loses at most one in-flight batch — on the
 //! next invocation the valid journal prefix is reused, only the missing
 //! cells are simulated, and the assembled report is *identical* to an
 //! uninterrupted run: the matrix content is a pure function of the
@@ -26,15 +27,14 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use tve_core::Schedule;
 use tve_obs::{parse_journal, IoPolicy, Journal, JournalDefect, JsonValue};
 use tve_sched::Farm;
 
-use crate::engine::{diagnose_scan_fault, run_cell, CampaignConfig};
-use crate::fault::FaultSpec;
+use crate::engine::CampaignConfig;
 use crate::matrix::{CellOutcome, CellResult, DiagnosisCheck};
-use crate::shard::{
-    campaign_fingerprint, effective_schedules, golden_baselines, ShardReport, ShardSpec,
-};
+use crate::pipeline::{CellPipeline, CellStore, Hit};
+use crate::shard::{ShardReport, ShardSpec};
 use crate::wire::{
     append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
 };
@@ -77,22 +77,83 @@ fn diag_payload(check: &DiagnosisCheck) -> String {
     out
 }
 
-/// The journal's valid prefix, decoded against this campaign.
-struct ResumedState {
+/// The journal as a [`CellStore`]: lookups take the records of its
+/// valid prefix, new cells and checks are appended one record each, in
+/// farm batches of the worker count.
+struct JournalStore {
     cells: BTreeMap<usize, CellResult>,
     diagnosis: BTreeMap<String, DiagnosisCheck>,
     defect: Option<JournalDefect>,
+    journal: Journal,
+    batch: usize,
 }
 
-/// Reads `path` (which must exist), validates the header against this
-/// campaign, truncates the file back to its valid prefix when damaged,
-/// and decodes the surviving records.
-fn load_journal(
+impl CellStore for JournalStore {
+    fn cell(
+        &mut self,
+        index: usize,
+        _fault_id: &str,
+        _schedule: &Schedule,
+    ) -> Result<Option<Hit<CellOutcome>>, String> {
+        Ok(self.cells.remove(&index).map(|cell| Hit {
+            value: cell.outcome,
+            verify: false,
+        }))
+    }
+
+    fn put_cells(&mut self, cells: &[(usize, &Schedule, CellResult)]) -> Result<(), String> {
+        for (index, _, cell) in cells {
+            self.journal
+                .append(&cell_payload(*index, cell))
+                .map_err(|e| format!("cannot journal cell {index}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    fn diagnosis(&mut self, fault_id: &str) -> Result<Option<DiagnosisCheck>, String> {
+        Ok(self.diagnosis.remove(fault_id))
+    }
+
+    fn put_diagnoses(&mut self, checks: &[DiagnosisCheck]) -> Result<(), String> {
+        for check in checks {
+            self.journal
+                .append(&diag_payload(check))
+                .map_err(|e| format!("cannot journal diagnosis: {e}"))?;
+        }
+        Ok(())
+    }
+
+    fn batch(&self) -> Option<usize> {
+        Some(self.batch)
+    }
+}
+
+/// Opens the journal at `path` for this campaign shard. A new journal
+/// gets its header; an existing one has its header validated, is
+/// truncated back to its valid prefix when damaged, and its surviving
+/// records are decoded.
+fn open_journal(
     path: &Path,
+    policy: &IoPolicy,
     fingerprint: u64,
     shard: ShardSpec,
     total_cells: usize,
-) -> Result<ResumedState, String> {
+    batch: usize,
+) -> Result<JournalStore, String> {
+    if !path.exists() {
+        let mut journal = Journal::create_with(path, policy)
+            .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
+        journal
+            .append(&header_payload(fingerprint, shard, total_cells))
+            .map_err(|e| format!("cannot write journal header: {e}"))?;
+        return Ok(JournalStore {
+            cells: BTreeMap::new(),
+            diagnosis: BTreeMap::new(),
+            defect: None,
+            journal,
+            batch,
+        });
+    }
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
     let contents = parse_journal(&text);
@@ -175,10 +236,14 @@ fn load_journal(
             other => return Err(format!("unknown journal record kind {other:?}")),
         }
     }
-    Ok(ResumedState {
+    let journal = Journal::append_to_with(path, policy)
+        .map_err(|e| format!("cannot append to journal {}: {e}", path.display()))?;
+    Ok(JournalStore {
         cells,
         diagnosis,
         defect: contents.defect,
+        journal,
+        batch,
     })
 }
 
@@ -195,14 +260,10 @@ fn load_journal(
 /// # Errors
 ///
 /// I/O failures, a journal written by a different campaign
-/// configuration or shard, or semantically invalid (though
-/// checksum-valid) records. Checksum damage is *not* an error — see
-/// [`ResumeSummary::defect`].
-///
-/// # Panics
-///
-/// Same conditions as [`crate::run_campaign_shard`] (golden-baseline
-/// failures).
+/// configuration or shard, semantically invalid (though
+/// checksum-valid) records, or a golden baseline that fails or reports
+/// errors ([`crate::PipelineError`]). Checksum damage is *not* an
+/// error — see [`ResumeSummary::defect`].
 pub fn run_campaign_journaled(
     config: &CampaignConfig,
     farm: &Farm,
@@ -224,10 +285,6 @@ pub fn run_campaign_journaled(
 /// # Errors
 ///
 /// As [`run_campaign_journaled`], plus whatever faults `policy` injects.
-///
-/// # Panics
-///
-/// Same conditions as [`run_campaign_journaled`].
 pub fn run_campaign_journaled_with_io(
     config: &CampaignConfig,
     farm: &Farm,
@@ -235,139 +292,26 @@ pub fn run_campaign_journaled_with_io(
     path: impl AsRef<Path>,
     policy: &IoPolicy,
 ) -> Result<(ShardReport, ResumeSummary), String> {
-    let path = path.as_ref();
-    let fingerprint = campaign_fingerprint(config);
-    let (schedules, prescreened) = effective_schedules(config);
-    let config = &CampaignConfig {
-        schedules,
-        ..config.clone()
-    };
-    let schedule_count = config.schedules.len();
-    let total_cells = config.population.len() * schedule_count;
-
-    let (mut state, mut journal) = if path.exists() {
-        let state = load_journal(path, fingerprint, shard, total_cells)?;
-        let journal = Journal::append_to_with(path, policy)
-            .map_err(|e| format!("cannot append to journal {}: {e}", path.display()))?;
-        (state, journal)
-    } else {
-        let mut journal = Journal::create_with(path, policy)
-            .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
-        journal
-            .append(&header_payload(fingerprint, shard, total_cells))
-            .map_err(|e| format!("cannot write journal header: {e}"))?;
-        (
-            ResumedState {
-                cells: BTreeMap::new(),
-                diagnosis: BTreeMap::new(),
-                defect: None,
-            },
-            journal,
-        )
-    };
-    let resumed_cells = state.cells.len();
-    let resumed_diagnosis = state.diagnosis.len();
-
-    // Cells this shard owns but the journal does not yet record.
-    let pending: Vec<(usize, usize, usize)> = (0..config.population.len())
-        .flat_map(|f| (0..schedule_count).map(move |s| (f * schedule_count + s, f, s)))
-        .filter(|&(index, _, _)| shard.owns(index) && !state.cells.contains_key(&index))
-        .collect();
-
-    if !pending.is_empty() {
-        let mut needed: Vec<usize> = pending.iter().map(|&(_, _, s)| s).collect();
-        needed.sort_unstable();
-        needed.dedup();
-        let needed_schedules: Vec<_> = needed
-            .iter()
-            .map(|&s| config.schedules[s].clone())
-            .collect();
-        let golden = golden_baselines(config, farm, &needed_schedules);
-
-        // Worker-sized batches: the journal grows roughly once per
-        // cell-duration, so a kill loses at most one batch of work.
-        for batch in pending.chunks(farm.workers().max(1)) {
-            let (outcomes, _, _) = farm.run_map(batch, |&(_, fi, si)| {
-                let schedule = &config.schedules[si];
-                run_cell(
-                    &config.soc,
-                    &config.plan,
-                    schedule,
-                    &config.population[fi],
-                    &golden[&schedule.name],
-                )
-            });
-            for (&(index, fi, si), (_, outcome)) in batch.iter().zip(outcomes) {
-                let fault = &config.population[fi];
-                let cell = CellResult {
-                    fault_id: fault.id(),
-                    fault_class: fault.class().to_string(),
-                    schedule: config.schedules[si].name.clone(),
-                    outcome: outcome
-                        .unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg }),
-                };
-                journal
-                    .append(&cell_payload(index, &cell))
-                    .map_err(|e| format!("cannot journal cell {index}: {e}"))?;
-                state.cells.insert(index, cell);
-            }
-        }
-    }
-
-    // Diagnosis for scan faults detected in this shard's (now complete)
-    // cell set, skipping checks the journal already holds.
-    let mut simulated_diagnosis = 0;
-    if config.diagnosis {
-        let pending_scan: Vec<_> = config
-            .population
-            .iter()
-            .filter_map(|f| match f {
-                FaultSpec::ScanCell { core, cell } => {
-                    let id = f.id();
-                    let detected = state.cells.values().any(|r| {
-                        r.fault_id == id && matches!(r.outcome, CellOutcome::Detected { .. })
-                    });
-                    (detected && !state.diagnosis.contains_key(&id)).then_some((*core, *cell))
-                }
-                _ => None,
-            })
-            .collect();
-        for batch in pending_scan.chunks(farm.workers().max(1)) {
-            let (checks, _, _) = farm.run_map(batch, |&(core, cell)| {
-                diagnose_scan_fault(config, core, cell)
-            });
-            for (_, check) in checks {
-                let check = check.expect("diagnosis must not panic");
-                journal
-                    .append(&diag_payload(&check))
-                    .map_err(|e| format!("cannot journal diagnosis: {e}"))?;
-                state.diagnosis.insert(check.fault_id.clone(), check);
-                simulated_diagnosis += 1;
-            }
-        }
-    }
-
-    let report = ShardReport {
-        fingerprint,
+    let mut pipeline = CellPipeline::new(config, farm);
+    let mut store = open_journal(
+        path.as_ref(),
+        policy,
+        pipeline.fingerprint(),
         shard,
-        total_cells,
-        schedules: config.schedules.iter().map(|s| s.name.clone()).collect(),
-        prescreened,
-        cells: state.cells.into_iter().collect(),
-        diagnosis: config
-            .population
-            .iter()
-            .filter_map(|f| state.diagnosis.remove(&f.id()))
-            .collect(),
-    };
+        pipeline.total_cells(),
+        farm.workers(),
+    )?;
+    let run = pipeline
+        .run(&|index| shard.owns(index), &mut store)
+        .map_err(|e| e.to_string())?;
     let summary = ResumeSummary {
-        resumed_cells,
-        simulated_cells: report.cells.len() - resumed_cells,
-        resumed_diagnosis,
-        simulated_diagnosis,
-        defect: state.defect,
+        resumed_cells: run.counts.cells_stored,
+        simulated_cells: run.counts.cells_simulated,
+        resumed_diagnosis: run.counts.diagnoses_stored,
+        simulated_diagnosis: run.counts.diagnoses_simulated,
+        defect: store.defect,
     };
-    Ok((report, summary))
+    Ok((pipeline.shard_report(shard, run), summary))
 }
 
 #[cfg(test)]

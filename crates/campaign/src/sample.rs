@@ -29,13 +29,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use tve_obs::{append_json_string, fnv1a};
+use tve_obs::{append_json_string, append_json_strings, fnv1a};
 use tve_sched::Farm;
 
-use crate::engine::{diagnose_scan_fault, run_cell, CampaignConfig};
+use crate::engine::CampaignConfig;
 use crate::fault::{FaultSpec, SplitMix};
-use crate::matrix::{CampaignReport, CellOutcome, CellResult};
-use crate::shard::{effective_schedules, golden_baselines};
+use crate::matrix::{CampaignReport, CellOutcome};
+use crate::pipeline::{CellPipeline, CellRun, NoStore};
 
 /// The stratum a fault is sampled within.
 pub fn stratum_of(fault: &FaultSpec) -> String {
@@ -109,17 +109,34 @@ fn strata_of(population: &[FaultSpec]) -> Vec<(String, Vec<usize>)> {
     strata.into_iter().collect()
 }
 
-/// Draws `n` distinct members of `members` with a per-stratum seeded
-/// stream, returning ascending population indices.
-fn draw(members: &[usize], n: usize, seed: u64, name: &str) -> Vec<usize> {
+/// The per-stratum seeded draw order: a lazy without-replacement
+/// permutation of `members`, from a `SplitMix` stream seeded by `seed`
+/// and the stratum name.
+fn permutation<'a>(
+    members: &'a [usize],
+    seed: u64,
+    name: &str,
+) -> impl Iterator<Item = usize> + 'a {
     let mut rng = SplitMix(seed ^ fnv1a(name.as_bytes()));
-    let mut picked: Vec<usize> = Vec::with_capacity(n.min(members.len()));
-    while picked.len() < n.min(members.len()) {
-        let candidate = members[(rng.next() % members.len() as u64) as usize];
-        if !picked.contains(&candidate) {
-            picked.push(candidate);
+    let mut drawn = vec![false; members.len()];
+    let mut left = members.len();
+    std::iter::from_fn(move || {
+        while left > 0 {
+            let position = (rng.next() % members.len() as u64) as usize;
+            if !drawn[position] {
+                drawn[position] = true;
+                left -= 1;
+                return Some(members[position]);
+            }
         }
-    }
+        None
+    })
+}
+
+/// Draws `n` distinct members of `members` — the first `n` of their
+/// [`permutation`] — returning ascending population indices.
+fn draw(members: &[usize], n: usize, seed: u64, name: &str) -> Vec<usize> {
+    let mut picked: Vec<usize> = permutation(members, seed, name).take(n).collect();
     picked.sort_unstable();
     picked
 }
@@ -322,7 +339,8 @@ pub fn run_sampled_campaign(
 /// faults from every stratum, then one fault at a time from whichever
 /// stratum currently has the highest Laplace-smoothed escape rate
 /// `(escapes + 1) / (sampled + 2)`, until the next fault would exceed
-/// `budget_cells` or the population is exhausted.
+/// `budget_cells` or the population is exhausted. Each picked fault is
+/// one [`CellPipeline::run`] over its cells.
 ///
 /// Deterministic: selection depends only on simulation outcomes (which
 /// are worker-count independent) and the seeded draw order, with
@@ -332,7 +350,6 @@ pub fn run_sampled_campaign(
 ///
 /// Same conditions as [`crate::run_campaign_shard`] (golden-baseline
 /// failures).
-#[allow(clippy::too_many_lines)]
 pub fn run_guided_campaign(
     config: &CampaignConfig,
     farm: &Farm,
@@ -340,155 +357,67 @@ pub fn run_guided_campaign(
     pilot_per_stratum: usize,
     seed: u64,
 ) -> SampledCampaign {
-    let (schedules, prescreened) = effective_schedules(config);
-    let config_eff = &CampaignConfig {
-        schedules,
-        ..config.clone()
-    };
-    let schedule_count = config_eff.schedules.len();
-    let golden = golden_baselines(config_eff, farm, &config_eff.schedules);
-    let strata = strata_of(&config_eff.population);
-
-    // Per-stratum seeded draw order (a full without-replacement
-    // permutation), consumed front to back.
+    let mut pipeline = CellPipeline::new(config, farm);
+    let schedule_count = pipeline.schedules().len();
+    let strata = strata_of(&config.population);
+    // Per-stratum seeded draw order, consumed front to back.
     let queues: Vec<Vec<usize>> = strata
         .iter()
-        .map(|(name, members)| {
-            let mut rng = SplitMix(seed ^ fnv1a(name.as_bytes()));
-            let mut order: Vec<usize> = Vec::with_capacity(members.len());
-            while order.len() < members.len() {
-                let candidate = members[(rng.next() % members.len() as u64) as usize];
-                if !order.contains(&candidate) {
-                    order.push(candidate);
-                }
-            }
-            order
-        })
+        .map(|(name, members)| permutation(members, seed, name).collect())
+        .collect();
+    let mut pilot_left: Vec<usize> = queues
+        .iter()
+        .map(|q| pilot_per_stratum.min(q.len()))
         .collect();
     let mut cursor = vec![0usize; strata.len()];
     let mut sampled_count = vec![0usize; strata.len()];
     let mut escape_count = vec![0usize; strata.len()];
-    let mut results: BTreeMap<usize, Vec<CellResult>> = BTreeMap::new();
+    let mut runs: BTreeMap<usize, CellRun> = BTreeMap::new();
 
-    let run_fault = |fi: usize| -> Vec<CellResult> {
-        let fault = &config_eff.population[fi];
-        let (outcomes, _, _) = farm.run_map(&config_eff.schedules, |schedule| {
-            run_cell(
-                &config_eff.soc,
-                &config_eff.plan,
-                schedule,
-                fault,
-                &golden[&schedule.name],
-            )
-        });
-        config_eff
-            .schedules
-            .iter()
-            .zip(outcomes)
-            .map(|(schedule, (_, outcome))| CellResult {
-                fault_id: fault.id(),
-                fault_class: fault.class().to_string(),
-                schedule: schedule.name.clone(),
-                outcome: outcome
-                    .unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg }),
-            })
-            .collect()
-    };
-    let take = |h: usize,
-                cursor: &mut Vec<usize>,
-                sampled_count: &mut Vec<usize>,
-                escape_count: &mut Vec<usize>,
-                results: &mut BTreeMap<usize, Vec<CellResult>>| {
-        let fi = queues[h][cursor[h]];
-        cursor[h] += 1;
-        let cells = run_fault(fi);
-        let escaped = !cells.iter().any(|c| c.outcome.noticed());
-        sampled_count[h] += 1;
-        escape_count[h] += usize::from(escaped);
-        results.insert(fi, cells);
-    };
-
-    // Pilot: look at every stratum before trusting any score.
     let mut spent_cells = 0usize;
-    for (h, queue_len) in queues.iter().map(Vec::len).enumerate().collect::<Vec<_>>() {
-        for _ in 0..pilot_per_stratum.min(queue_len) {
-            if spent_cells + schedule_count > budget_cells {
-                break;
-            }
-            take(
-                h,
-                &mut cursor,
-                &mut sampled_count,
-                &mut escape_count,
-                &mut results,
-            );
-            spent_cells += schedule_count;
-        }
-    }
-    // Adaptive phase: chase the highest smoothed escape rate.
     while spent_cells + schedule_count <= budget_cells {
-        let Some(next) = (0..strata.len())
-            .filter(|&h| cursor[h] < queues[h].len())
-            .max_by(|&a, &b| {
+        // Pilot first — look at every stratum before trusting any
+        // score — then chase the highest smoothed escape rate.
+        let next = match pilot_left.iter().position(|&n| n > 0) {
+            Some(h) => {
+                pilot_left[h] -= 1;
+                h
+            }
+            None => {
                 let score =
                     |h: usize| (escape_count[h] as f64 + 1.0) / (sampled_count[h] as f64 + 2.0);
-                score(a)
-                    .partial_cmp(&score(b))
-                    .unwrap()
-                    .then(strata[b].0.cmp(&strata[a].0))
-            })
-        else {
-            break; // population exhausted under budget
+                let Some(h) = (0..strata.len())
+                    .filter(|&h| cursor[h] < queues[h].len())
+                    .max_by(|&a, &b| {
+                        score(a)
+                            .partial_cmp(&score(b))
+                            .unwrap()
+                            .then(strata[b].0.cmp(&strata[a].0))
+                    })
+                else {
+                    break; // population exhausted under budget
+                };
+                h
+            }
         };
-        take(
-            next,
-            &mut cursor,
-            &mut sampled_count,
-            &mut escape_count,
-            &mut results,
-        );
+        let fi = queues[next][cursor[next]];
+        cursor[next] += 1;
+        let run = pipeline
+            .run(&|index| index / schedule_count == fi, &mut NoStore)
+            .unwrap_or_else(|e| panic!("{e}"));
+        sampled_count[next] += 1;
+        escape_count[next] += usize::from(!run.cells.iter().any(|(_, c)| c.outcome.noticed()));
+        runs.insert(fi, run);
         spent_cells += schedule_count;
     }
 
-    let selected: Vec<usize> = results.keys().copied().collect();
-    let cells: Vec<CellResult> = results.into_values().flatten().collect();
-    // Diagnosis, when configured, mirrors the exhaustive engine over
-    // the sampled faults.
-    let mut diagnosis = Vec::new();
-    if config_eff.diagnosis {
-        let detected_scan: Vec<_> = selected
-            .iter()
-            .filter_map(|&fi| match &config_eff.population[fi] {
-                FaultSpec::ScanCell { core, cell } => {
-                    let id = config_eff.population[fi].id();
-                    cells
-                        .iter()
-                        .any(|c| {
-                            c.fault_id == id && matches!(c.outcome, CellOutcome::Detected { .. })
-                        })
-                        .then_some((*core, *cell))
-                }
-                _ => None,
-            })
-            .collect();
-        let (checks, _, _) = farm.run_map(&detected_scan, |&(core, cell)| {
-            diagnose_scan_fault(config_eff, core, cell)
-        });
-        diagnosis = checks
-            .into_iter()
-            .map(|(_, r)| r.expect("diagnosis must not panic"))
-            .collect();
+    let selected: Vec<usize> = runs.keys().copied().collect();
+    let (mut cells, mut diagnosis) = (Vec::new(), Vec::new());
+    for run in runs.into_values() {
+        cells.extend(run.cells.into_iter().map(|(_, cell)| cell));
+        diagnosis.extend(run.diagnosis);
     }
-    let report = CampaignReport {
-        schedules: config_eff
-            .schedules
-            .iter()
-            .map(|s| s.name.clone())
-            .collect(),
-        prescreened,
-        cells,
-        diagnosis,
-    };
+    let report = pipeline.report(cells, diagnosis);
     assemble(
         config,
         "guided",
@@ -522,12 +451,7 @@ impl SampledCampaign {
             None => out.push_str("  \"estimate\": null,\n"),
         }
         out.push_str("  \"union_escapes\": [");
-        for (i, id) in self.report.union_escapes().into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            append_json_string(&mut out, id);
-        }
+        append_json_strings(&mut out, self.report.union_escapes(), ", ");
         out.push_str("],\n  \"strata\": [\n");
         for (i, s) in self.strata.iter().enumerate() {
             out.push_str("    {\"name\": ");
@@ -539,19 +463,9 @@ impl SampledCampaign {
                 s.detected,
                 s.escapes
             );
-            for (j, id) in s.sampled.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                append_json_string(&mut out, id);
-            }
+            append_json_strings(&mut out, s.sampled.iter().map(String::as_str), ", ");
             out.push_str("], \"skipped\": [");
-            for (j, id) in s.skipped.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                append_json_string(&mut out, id);
-            }
+            append_json_strings(&mut out, s.skipped.iter().map(String::as_str), ", ");
             out.push_str("]}");
             if i + 1 < self.strata.len() {
                 out.push(',');

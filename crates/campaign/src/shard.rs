@@ -5,12 +5,12 @@
 //! fault-major order. A [`ShardSpec`] `k/n` owns every cell whose
 //! global index is `≡ k-1 (mod n)` — a pure function of the index, so
 //! any process can decide ownership without coordination, and the `n`
-//! shards tile the matrix exactly. [`run_campaign_shard`] simulates
-//! only the owned cells (plus golden baselines for the schedules those
-//! cells touch, plus diagnosis for scan faults the shard itself saw
-//! detected); [`merge_shards`] validates that a set of shard reports
-//! tiles the matrix exactly once and reassembles the
-//! [`CampaignReport`].
+//! shards tile the matrix exactly. [`run_campaign_shard`] runs the
+//! cell pipeline ([`CellPipeline`]) over only the owned cells (plus
+//! golden baselines for the schedules those cells touch, plus diagnosis
+//! for scan faults the shard itself saw detected); [`merge_shards`]
+//! validates that a set of shard reports tiles the matrix exactly once
+//! and reassembles the [`CampaignReport`].
 //!
 //! The equivalence proof is structural: [`crate::run_campaign`] *is*
 //! `merge_shards` over the single full shard `1/1` — there is no
@@ -22,14 +22,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tve_core::{Schedule, StuckCell};
-use tve_obs::{append_json_string, fnv1a, parse_json, JsonValue};
+use tve_core::Schedule;
+use tve_obs::{append_json_string, append_json_strings, fnv1a, parse_json, JsonValue};
 use tve_sched::Farm;
-use tve_soc::{run_scenario, ScenarioMetrics, WrappedCore};
 
-use crate::engine::{diagnose_scan_fault, run_cell, CampaignConfig};
-use crate::fault::FaultSpec;
-use crate::matrix::{CampaignReport, CellOutcome, CellResult, DiagnosisCheck, PrescreenedSchedule};
+use crate::engine::CampaignConfig;
+use crate::matrix::{CampaignReport, CellResult, DiagnosisCheck, PrescreenedSchedule};
+use crate::pipeline::{CellPipeline, NoStore};
 use crate::wire::{
     append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
 };
@@ -150,31 +149,6 @@ pub fn effective_schedules(config: &CampaignConfig) -> (Vec<Schedule>, Vec<Presc
     (schedules, prescreened)
 }
 
-/// Golden baselines for `schedules`, farmed, with the usual
-/// well-formedness panics.
-pub(crate) fn golden_baselines(
-    config: &CampaignConfig,
-    farm: &Farm,
-    schedules: &[Schedule],
-) -> BTreeMap<String, ScenarioMetrics> {
-    let (golden_results, _, _) = farm.run_map(schedules, |schedule| {
-        run_scenario(&config.soc, &config.plan, schedule)
-            .unwrap_or_else(|e| panic!("golden run of '{}' failed: {e}", schedule.name))
-    });
-    let mut golden = BTreeMap::new();
-    for (schedule, (_, result)) in schedules.iter().zip(golden_results) {
-        let metrics = result.expect("golden scenario must not panic");
-        assert!(
-            metrics.result.clean(),
-            "golden run of '{}' reported errors: {}",
-            schedule.name,
-            metrics.result
-        );
-        golden.insert(schedule.name.clone(), metrics);
-    }
-    golden
-}
-
 /// The result of one shard: the cells it owned (tagged with their
 /// global matrix index), plus diagnosis checks for the scan faults this
 /// shard saw detected. Serializes to JSON for the process boundary.
@@ -209,12 +183,7 @@ impl ShardReport {
             self.fingerprint, self.shard, self.total_cells
         ));
         out.push_str("  \"schedules\": [");
-        for (i, name) in self.schedules.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            append_json_string(&mut out, name);
-        }
+        append_json_strings(&mut out, self.schedules.iter().map(String::as_str), ", ");
         out.push_str("],\n  \"prescreened\": [");
         for (i, p) in self.prescreened.iter().enumerate() {
             if i > 0 {
@@ -223,12 +192,7 @@ impl ShardReport {
             out.push_str("{\"name\": ");
             append_json_string(&mut out, &p.schedule);
             out.push_str(", \"codes\": [");
-            for (j, code) in p.codes.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                append_json_string(&mut out, code);
-            }
+            append_json_strings(&mut out, p.codes.iter().map(String::as_str), ", ");
             out.push_str("]}");
         }
         out.push_str("],\n  \"cells\": [\n");
@@ -283,15 +247,8 @@ impl ShardReport {
                 .ok_or("shard report missing integer field 'total_cells'")? as usize;
         let schedules = v
             .get("schedules")
-            .and_then(JsonValue::as_arr)
-            .ok_or("shard report missing array field 'schedules'")?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string schedule name".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+            .and_then(JsonValue::as_str_vec)
+            .ok_or("shard report missing string-array field 'schedules'")?;
         let prescreened = v
             .get("prescreened")
             .and_then(JsonValue::as_arr)
@@ -306,15 +263,8 @@ impl ShardReport {
                         .to_string(),
                     codes: p
                         .get("codes")
-                        .and_then(JsonValue::as_arr)
-                        .ok_or("prescreened entry missing 'codes'")?
-                        .iter()
-                        .map(|c| {
-                            c.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| "non-string diagnostic code".to_string())
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
+                        .and_then(JsonValue::as_str_vec)
+                        .ok_or("prescreened entry missing string-array 'codes'")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -366,97 +316,11 @@ impl ShardReport {
 /// schedule the shard needs fails or reports errors (pre-screening is
 /// applied first when configured).
 pub fn run_campaign_shard(config: &CampaignConfig, farm: &Farm, shard: ShardSpec) -> ShardReport {
-    let fingerprint = campaign_fingerprint(config);
-    let (schedules, prescreened) = effective_schedules(config);
-    let config = &CampaignConfig {
-        schedules,
-        ..config.clone()
-    };
-    let schedule_count = config.schedules.len();
-    let total_cells = config.population.len() * schedule_count;
-
-    // Owned cells: (global index, fault index, schedule index).
-    let owned: Vec<(usize, usize, usize)> = (0..config.population.len())
-        .flat_map(|f| (0..schedule_count).map(move |s| (f * schedule_count + s, f, s)))
-        .filter(|&(index, _, _)| shard.owns(index))
-        .collect();
-
-    // Golden baselines only for the schedules that actually appear in
-    // the owned cells — a shard of a wide matrix skips the rest.
-    let mut needed: Vec<usize> = owned.iter().map(|&(_, _, s)| s).collect();
-    needed.sort_unstable();
-    needed.dedup();
-    let needed_schedules: Vec<Schedule> = needed
-        .iter()
-        .map(|&s| config.schedules[s].clone())
-        .collect();
-    let golden = golden_baselines(config, farm, &needed_schedules);
-
-    let (outcomes, _, _) = farm.run_map(&owned, |&(_, fi, si)| {
-        let schedule = &config.schedules[si];
-        run_cell(
-            &config.soc,
-            &config.plan,
-            schedule,
-            &config.population[fi],
-            &golden[&schedule.name],
-        )
-    });
-    let cells: Vec<(usize, CellResult)> = owned
-        .iter()
-        .zip(outcomes)
-        .map(|(&(index, fi, si), (_, outcome))| {
-            let fault = &config.population[fi];
-            (
-                index,
-                CellResult {
-                    fault_id: fault.id(),
-                    fault_class: fault.class().to_string(),
-                    schedule: config.schedules[si].name.clone(),
-                    outcome: outcome
-                        .unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg }),
-                },
-            )
-        })
-        .collect();
-
-    // Diagnosis for scan faults detected within this shard's cells, in
-    // population order. The union over all shards is exactly the
-    // unsharded diagnosis set: a fault is detected somewhere iff some
-    // shard owns a detected cell for it.
-    let mut diagnosis = Vec::new();
-    if config.diagnosis {
-        let detected_scan: Vec<(WrappedCore, StuckCell)> = config
-            .population
-            .iter()
-            .filter_map(|f| match f {
-                FaultSpec::ScanCell { core, cell } => {
-                    let detected = cells.iter().any(|(_, r)| {
-                        r.fault_id == f.id() && matches!(r.outcome, CellOutcome::Detected { .. })
-                    });
-                    detected.then_some((*core, *cell))
-                }
-                _ => None,
-            })
-            .collect();
-        let (checks, _, _) = farm.run_map(&detected_scan, |&(core, cell)| {
-            diagnose_scan_fault(config, core, cell)
-        });
-        diagnosis = checks
-            .into_iter()
-            .map(|(_, r)| r.expect("diagnosis must not panic"))
-            .collect();
-    }
-
-    ShardReport {
-        fingerprint,
-        shard,
-        total_cells,
-        schedules: config.schedules.iter().map(|s| s.name.clone()).collect(),
-        prescreened,
-        cells,
-        diagnosis,
-    }
+    let mut pipeline = CellPipeline::new(config, farm);
+    let run = pipeline
+        .run(&|index| shard.owns(index), &mut NoStore)
+        .unwrap_or_else(|e| panic!("{e}"));
+    pipeline.shard_report(shard, run)
 }
 
 /// Merges shard reports back into the [`CampaignReport`] the unsharded
@@ -558,6 +422,10 @@ pub fn merge_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSpec;
+    use crate::matrix::CellOutcome;
+    use tve_core::StuckCell;
+    use tve_soc::WrappedCore;
 
     #[test]
     fn shard_spec_parses_and_partitions() {

@@ -10,7 +10,7 @@
 //! byte-identical artifacts.
 
 use tve_core::{FailingCell, StuckCell};
-use tve_obs::{append_json_string, JsonValue};
+use tve_obs::{append_json_string, append_json_strings, JsonValue};
 use tve_soc::WrappedCore;
 
 use crate::matrix::{CellOutcome, CellResult, DiagnosisCheck};
@@ -33,12 +33,7 @@ pub fn append_cell_result(out: &mut String, cell: &CellResult) {
             out.push_str(&format!(
                 ",\"latency_cycles\":{latency_cycles},\"deviating\":["
             ));
-            for (i, name) in deviating.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                append_json_string(out, name);
-            }
+            append_json_strings(out, deviating.iter().map(String::as_str), ",");
             out.push(']');
         }
         CellOutcome::Escape => {}
@@ -92,15 +87,8 @@ pub fn cell_result_from_json(v: &JsonValue) -> Result<CellResult, String> {
             latency_cycles: want_u64(v, "latency_cycles", "detected cell")?,
             deviating: v
                 .get("deviating")
-                .and_then(JsonValue::as_arr)
-                .ok_or("detected cell record missing array field 'deviating'")?
-                .iter()
-                .map(|name| {
-                    name.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "non-string entry in 'deviating'".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+                .and_then(JsonValue::as_str_vec)
+                .ok_or("detected cell record missing string-array field 'deviating'")?,
         },
         Some("escape") => CellOutcome::Escape,
         Some("infra-failure") => CellOutcome::InfraFailure {

@@ -290,6 +290,14 @@ impl JsonValue {
         }
     }
 
+    /// The elements as owned strings, if this is an array of strings.
+    pub fn as_str_vec(&self) -> Option<Vec<String>> {
+        self.as_arr()?
+            .iter()
+            .map(|v| v.as_str().map(str::to_string))
+            .collect()
+    }
+
     /// The element list, if this is an array.
     pub fn as_arr(&self) -> Option<&[JsonValue]> {
         match self {
@@ -561,6 +569,21 @@ pub fn append_json_string(out: &mut String, text: &str) {
         }
     }
     out.push('"');
+}
+
+/// Appends `items` to `out` as JSON string literals separated by `sep`
+/// (the enclosing brackets are the caller's).
+pub fn append_json_strings<'a>(
+    out: &mut String,
+    items: impl IntoIterator<Item = &'a str>,
+    sep: &str,
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        append_json_string(out, item);
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,11 @@
-//! Supervised execution on the validation farm.
+//! The validation farm's worker pool: supervised execution.
 //!
-//! [`Farm::run_map`] already turns a panicking job into a per-job error
-//! instead of a farm-wide abort. This module adds the rest of the
-//! resilience story the serving layer needs:
+//! [`Farm::run_map_supervised`] is the farm's only thread pool; every
+//! other entry point ([`Farm::run_map`], [`Farm::run`],
+//! [`Farm::run_traced`]) is a thin wrapper over it with the default
+//! policy. A panicking item is always captured as a per-item error,
+//! never a farm-wide abort. The policy adds the rest of the resilience
+//! story the serving layer needs:
 //!
 //! - **Respawn** — a worker whose job panicked is considered poisoned
 //!   and retires; a supervisor (the calling thread) spawns a fresh
@@ -10,12 +13,13 @@
 //! - **Retry** — a failed attempt (panic *or* deadline cancellation) is
 //!   re-queued up to a retry budget and re-executed on a fresh worker.
 //!   A permanently failing job yields its typed [`SupervisedError`],
-//!   never a hang or a hole in the batch.
+//!   never a hang or a hole in the batch. The default budget is 0: a
+//!   local batch runs every item exactly once.
 //! - **Deadlines** — each attempt may carry a wall-clock deadline. The
 //!   supervisor trips the attempt's [`CancelToken`]; the simulation
 //!   inside observes it at the next kernel scheduling boundary and
-//!   unwinds with [`Cancelled`](tve_sim::Cancelled), which is classified
-//!   as a deadline, not a panic.
+//!   unwinds with [`Cancelled`], which is classified as a deadline, not
+//!   a panic.
 //! - **External cancellation** — a parent token (e.g. a daemon job's
 //!   deadline) cancels the whole batch: queued items resolve to
 //!   [`SupervisedError::Cancelled`] without running.
@@ -23,21 +27,26 @@
 //!   or an artificial delay into chosen `(item, attempt)` pairs, which
 //!   is how the resilience harness proves all of the above.
 //!
+//! The pool never sleep-polls. The supervisor and idle workers wait on
+//! one condition variable, woken when an item resolves, a worker
+//! retires or an attempt is re-queued. Only a policy with a deadline or
+//! an external token makes the supervisor wake on a timer
+//! ([`SupervisePolicy::poll`]) to scan deadlines and cancellation;
+//! only such a policy installs a per-attempt cancel token.
+//!
 //! Results keep the farm's contract: submission order, one slot per
 //! item, bit-identical metrics for any worker count — a retried job
 //! reruns the same pure function on the same plain-data inputs.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use tve_obs::OpsCounters;
 use tve_sim::{with_cancel_token, CancelToken, Cancelled};
-use tve_soc::run_scenario;
 
-use crate::farm::{BatchReport, Farm, JobError, JobOutcome, ScenarioJob};
+use crate::farm::Farm;
 
 /// A fault the chaos hook may inject into one `(item, attempt)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +70,11 @@ pub struct SupervisePolicy {
     /// Per-attempt wall-clock deadline (`None` = unlimited).
     pub deadline: Option<Duration>,
     /// Retries allowed after the first attempt (so `retry_budget + 1`
-    /// attempts total). Default 1.
+    /// attempts total). Default 0: every item runs exactly once.
     pub retry_budget: usize,
-    /// Supervisor poll interval (deadline scan + respawn check).
+    /// Supervisor wake interval for deadline scans and external
+    /// cancellation. Unused when the policy has neither: the pool then
+    /// waits only on its condition variable.
     pub poll: Duration,
     /// Batch-level cancellation (e.g. a daemon job deadline): when this
     /// trips, running attempts are cancelled through the token chain and
@@ -80,7 +91,7 @@ impl Default for SupervisePolicy {
     fn default() -> Self {
         SupervisePolicy {
             deadline: None,
-            retry_budget: 1,
+            retry_budget: 0,
             poll: Duration::from_millis(1),
             external: None,
             chaos: None,
@@ -90,7 +101,7 @@ impl Default for SupervisePolicy {
 }
 
 impl SupervisePolicy {
-    /// The default policy: one retry, no deadline, no chaos.
+    /// The default policy: no retries, no deadline, no chaos.
     pub fn new() -> Self {
         SupervisePolicy::default()
     }
@@ -107,7 +118,7 @@ impl SupervisePolicy {
         self
     }
 
-    /// Sets the supervisor poll interval.
+    /// Sets the supervisor wake interval (see [`SupervisePolicy::poll`]).
     pub fn with_poll(mut self, poll: Duration) -> Self {
         self.poll = poll;
         self
@@ -191,7 +202,7 @@ pub struct SuperviseStats {
     pub chaos_injected: u64,
 }
 
-/// One attempt currently executing on a worker.
+/// One attempt currently executing on a worker under a cancel token.
 struct RunningAttempt {
     item: usize,
     started: Instant,
@@ -200,29 +211,41 @@ struct RunningAttempt {
     cancelled: bool,
 }
 
-/// Result slot for one item: filled once with the attempt duration and
-/// the item's outcome, then never rewritten.
-type Slot<R> = Mutex<Option<(Duration, Result<R, SupervisedError>)>>;
+/// Per-item result: the last attempt's duration and the outcome.
+type Resolved<R> = (Duration, Result<R, SupervisedError>);
+
+/// Everything the workers and the supervisor share, behind one lock.
+struct Pool<R> {
+    /// `(item, attempt)` pairs awaiting a worker.
+    queue: VecDeque<(usize, usize)>,
+    /// Attempts under a cancel token (timed policies only).
+    running: Vec<RunningAttempt>,
+    /// One slot per item, filled once, never rewritten.
+    slots: Vec<Option<Resolved<R>>>,
+    /// Items whose slot is still empty.
+    unresolved: usize,
+    /// Workers currently alive (spawned minus retired/finished).
+    live: usize,
+    stats: SuperviseStats,
+}
 
 struct Ctx<'a, T, R, F> {
     items: &'a [T],
     f: &'a F,
     policy: &'a SupervisePolicy,
-    slots: &'a [Slot<R>],
-    /// `(item, attempt)` pairs awaiting a worker.
-    queue: Mutex<VecDeque<(usize, usize)>>,
-    running: Mutex<Vec<RunningAttempt>>,
-    /// Items whose slot is still empty.
-    unresolved: AtomicUsize,
-    /// Workers currently alive (spawned minus retired/finished).
-    live: AtomicUsize,
-    retries: AtomicU64,
-    respawns: AtomicU64,
-    deadline_cancels: AtomicU64,
-    chaos_injected: AtomicU64,
+    /// Whether attempts run under a cancel token and the supervisor
+    /// wakes on a timer: only with a deadline or an external token.
+    timed: bool,
+    pool: Mutex<Pool<R>>,
+    /// Signalled on every resolve, retire and re-queue.
+    changed: Condvar,
 }
 
 impl<T, R, F> Ctx<'_, T, R, F> {
+    fn lock(&self) -> MutexGuard<'_, Pool<R>> {
+        self.pool.lock().expect("pool poisoned")
+    }
+
     fn external_cancelled(&self) -> bool {
         self.policy
             .external
@@ -230,35 +253,34 @@ impl<T, R, F> Ctx<'_, T, R, F> {
             .is_some_and(|t| t.is_cancelled())
     }
 
-    fn resolve(&self, item: usize, wall: Duration, result: Result<R, SupervisedError>) {
-        let mut slot = self.slots[item].lock().expect("result slot poisoned");
-        debug_assert!(slot.is_none(), "item {item} resolved twice");
-        *slot = Some((wall, result));
-        self.unresolved.fetch_sub(1, Ordering::AcqRel);
+    fn resolve(&self, pool: &mut Pool<R>, item: usize, resolved: Resolved<R>) {
+        debug_assert!(pool.slots[item].is_none(), "item {item} resolved twice");
+        pool.slots[item] = Some(resolved);
+        pool.unresolved -= 1;
+        self.changed.notify_all();
     }
 
     /// Resolves every queued (not yet running) item to `Cancelled`.
     /// Items currently running resolve in their worker when the token
     /// chain interrupts them.
-    fn drain_cancelled(&self) {
-        let drained: Vec<(usize, usize)> = {
-            let mut queue = self.queue.lock().expect("queue poisoned");
-            queue.drain(..).collect()
-        };
-        for (item, _) in drained {
-            self.resolve(item, Duration::ZERO, Err(SupervisedError::Cancelled));
+    fn drain_cancelled(&self, pool: &mut Pool<R>) {
+        while let Some((item, _)) = pool.queue.pop_front() {
+            let cancelled = (Duration::ZERO, Err(SupervisedError::Cancelled));
+            self.resolve(pool, item, cancelled);
         }
     }
 
-    fn count(&self, counter: &str, cell: &AtomicU64, detail: String) {
-        cell.fetch_add(1, Ordering::Relaxed);
+    /// Counts one supervision event in `stat` and the ops sink.
+    fn note(&self, stat: &mut u64, counter: &str, detail: impl Into<String>) {
+        *stat += 1;
         if let Some(ops) = &self.policy.counters {
             ops.note(counter, detail);
         }
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload (`String` or `&str`).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()
@@ -266,143 +288,136 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
+/// Runs one attempt: the chaos fault (if any), then `f(item)`, under
+/// `token` when the policy is timed.
+fn run_attempt<T, R, F: Fn(&T) -> R>(
+    ctx: &Ctx<'_, T, R, F>,
+    item: usize,
+    chaos: Option<ChaosFault>,
+    token: Option<&Arc<CancelToken>>,
+) -> std::thread::Result<R> {
+    let attempt = || {
+        match chaos {
+            Some(ChaosFault::Panic) => {
+                std::panic::panic_any("chaos: injected worker panic".to_string())
+            }
+            Some(ChaosFault::Delay(d)) => {
+                // Stall cooperatively, like a slow simulation observing
+                // its token at scheduling boundaries.
+                let end = Instant::now() + d;
+                while let Some(left) = end.checked_duration_since(Instant::now()) {
+                    if token.is_some_and(|t| t.is_cancelled()) {
+                        std::panic::panic_any(Cancelled);
+                    }
+                    std::thread::sleep(left.min(Duration::from_millis(1)));
+                }
+            }
+            None => {}
+        }
+        (ctx.f)(&ctx.items[item])
+    };
+    catch_unwind(AssertUnwindSafe(|| match token {
+        Some(token) => with_cancel_token(token, attempt),
+        None => attempt(),
+    }))
+}
+
 /// One worker's life: pull attempts until the batch resolves, retire on
 /// the first panic hosted (the supervisor respawns a replacement).
-fn worker_loop<T, R, F>(ctx: &Ctx<'_, T, R, F>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
+fn worker_loop<T, R, F: Fn(&T) -> R>(ctx: &Ctx<'_, T, R, F>) {
+    let mut pool = ctx.lock();
     loop {
         if ctx.external_cancelled() {
-            ctx.drain_cancelled();
-            break;
+            ctx.drain_cancelled(&mut pool);
         }
-        let next = ctx.queue.lock().expect("queue poisoned").pop_front();
-        let Some((item, attempt)) = next else {
-            if ctx.unresolved.load(Ordering::Acquire) == 0 {
+        let Some((item, attempt)) = pool.queue.pop_front() else {
+            if pool.unresolved == 0 {
                 break;
             }
             // Work is still in flight elsewhere (and may be re-queued);
             // stay available for retries.
-            std::thread::sleep(Duration::from_micros(200));
+            pool = ctx.changed.wait(pool).expect("pool poisoned");
             continue;
         };
-
         let chaos = ctx
             .policy
             .chaos
             .as_ref()
             .and_then(|hook| hook(item, attempt));
         if chaos.is_some() {
-            ctx.count(
+            let detail = format!("item {item} attempt {attempt}: {chaos:?}");
+            ctx.note(
+                &mut pool.stats.chaos_injected,
                 "farm.chaos_injected",
-                &ctx.chaos_injected,
-                format!("item {item} attempt {attempt}: {chaos:?}"),
+                detail,
             );
         }
-
-        let token = match &ctx.policy.external {
+        let token = ctx.timed.then(|| match &ctx.policy.external {
             Some(parent) => CancelToken::child(parent),
             None => CancelToken::new(),
-        };
-        ctx.running
-            .lock()
-            .expect("running poisoned")
-            .push(RunningAttempt {
+        });
+        if let Some(token) = &token {
+            pool.running.push(RunningAttempt {
                 item,
                 started: Instant::now(),
-                token: Arc::clone(&token),
+                token: Arc::clone(token),
                 cancelled: false,
             });
+        }
+        drop(pool);
 
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            with_cancel_token(&token, || {
-                match chaos {
-                    Some(ChaosFault::Panic) => {
-                        std::panic::panic_any("chaos: injected worker panic".to_string())
-                    }
-                    Some(ChaosFault::Delay(d)) => {
-                        // Stall cooperatively, like a slow simulation
-                        // observing its token at scheduling boundaries.
-                        let end = Instant::now() + d;
-                        loop {
-                            if token.is_cancelled() {
-                                std::panic::panic_any(Cancelled);
-                            }
-                            let Some(left) = end.checked_duration_since(Instant::now()) else {
-                                break;
-                            };
-                            std::thread::sleep(left.min(Duration::from_millis(1)));
-                        }
-                    }
-                    None => {}
-                }
-                (ctx.f)(&ctx.items[item])
-            })
-        }));
+        let outcome = run_attempt(ctx, item, chaos, token.as_ref());
         let wall = started.elapsed();
-        ctx.running
-            .lock()
-            .expect("running poisoned")
-            .retain(|r| !Arc::ptr_eq(&r.token, &token));
-
-        match outcome {
-            Ok(result) => ctx.resolve(item, wall, Ok(result)),
-            Err(payload) => {
-                let was_cancel = payload.is::<Cancelled>();
-                if ctx.external_cancelled() {
-                    ctx.resolve(item, wall, Err(SupervisedError::Cancelled));
-                } else if attempt < ctx.policy.retry_budget {
-                    ctx.count(
-                        "farm.retries",
-                        &ctx.retries,
-                        format!(
-                            "item {item}: attempt {attempt} {}",
-                            if was_cancel {
-                                "deadline-cancelled"
-                            } else {
-                                "panicked"
-                            }
-                        ),
-                    );
-                    ctx.queue
-                        .lock()
-                        .expect("queue poisoned")
-                        .push_back((item, attempt + 1));
-                } else if was_cancel {
-                    ctx.resolve(
-                        item,
-                        wall,
-                        Err(SupervisedError::Deadline {
-                            limit: ctx.policy.deadline.unwrap_or(Duration::ZERO),
-                            attempts: attempt + 1,
-                        }),
-                    );
-                } else {
-                    ctx.resolve(
-                        item,
-                        wall,
-                        Err(SupervisedError::Panicked(panic_message(payload.as_ref()))),
-                    );
-                }
-                // This worker hosted an unwind: retire it. The attempt
-                // (if retried) runs on a different or freshly spawned
-                // worker.
-                ctx.live.fetch_sub(1, Ordering::AcqRel);
-                return;
-            }
+        pool = ctx.lock();
+        if let Some(token) = &token {
+            pool.running.retain(|r| !Arc::ptr_eq(&r.token, token));
         }
+        let payload = match outcome {
+            Ok(result) => {
+                ctx.resolve(&mut pool, item, (wall, Ok(result)));
+                continue;
+            }
+            Err(payload) => payload,
+        };
+        let was_cancel = payload.is::<Cancelled>();
+        if ctx.external_cancelled() {
+            ctx.resolve(&mut pool, item, (wall, Err(SupervisedError::Cancelled)));
+        } else if attempt < ctx.policy.retry_budget {
+            let what = if was_cancel {
+                "deadline-cancelled"
+            } else {
+                "panicked"
+            };
+            let detail = format!("item {item}: attempt {attempt} {what}");
+            ctx.note(&mut pool.stats.retries, "farm.retries", detail);
+            pool.queue.push_back((item, attempt + 1));
+        } else {
+            let error = if was_cancel {
+                SupervisedError::Deadline {
+                    limit: ctx.policy.deadline.unwrap_or(Duration::ZERO),
+                    attempts: attempt + 1,
+                }
+            } else {
+                SupervisedError::Panicked(panic_message(payload.as_ref()))
+            };
+            ctx.resolve(&mut pool, item, (wall, Err(error)));
+        }
+        // This worker hosted an unwind: retire it. The attempt (if
+        // retried) runs on a different or freshly spawned worker.
+        break;
     }
-    ctx.live.fetch_sub(1, Ordering::AcqRel);
+    pool.live -= 1;
+    ctx.changed.notify_all();
 }
 
 impl Farm {
-    /// [`Farm::run_map`] under supervision: per-attempt deadlines,
-    /// retries on a budget, worker respawn, external cancellation and
-    /// deterministic chaos injection, per `policy`.
+    /// Fans `f(item)` over the worker pool under supervision:
+    /// per-attempt deadlines, retries on a budget, worker respawn,
+    /// external cancellation and deterministic chaos injection, per
+    /// `policy`. With [`SupervisePolicy::default`] every item runs
+    /// exactly once and a panic is captured as
+    /// [`SupervisedError::Panicked`].
     ///
     /// Returns per-item `(wall, result)` pairs in submission order (the
     /// wall time is the last attempt's), the worker count, the batch
@@ -416,12 +431,7 @@ impl Farm {
         items: &[T],
         f: F,
         policy: &SupervisePolicy,
-    ) -> (
-        Vec<(Duration, Result<R, SupervisedError>)>,
-        usize,
-        Duration,
-        SuperviseStats,
-    )
+    ) -> (Vec<Resolved<R>>, usize, Duration, SuperviseStats)
     where
         T: Sync,
         R: Send,
@@ -429,136 +439,80 @@ impl Farm {
     {
         let started = Instant::now();
         let workers = self.workers().min(items.len()).max(1);
-        let slots: Vec<Mutex<Option<(Duration, Result<R, SupervisedError>)>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
         let ctx = Ctx {
             items,
             f: &f,
             policy,
-            slots: &slots,
-            queue: Mutex::new((0..items.len()).map(|i| (i, 0)).collect()),
-            running: Mutex::new(Vec::new()),
-            unresolved: AtomicUsize::new(items.len()),
-            live: AtomicUsize::new(0),
-            retries: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            deadline_cancels: AtomicU64::new(0),
-            chaos_injected: AtomicU64::new(0),
+            timed: policy.deadline.is_some() || policy.external.is_some(),
+            pool: Mutex::new(Pool {
+                queue: (0..items.len()).map(|i| (i, 0)).collect(),
+                running: Vec::new(),
+                slots: items.iter().map(|_| None).collect(),
+                unresolved: items.len(),
+                live: workers,
+                stats: SuperviseStats::default(),
+            }),
+            changed: Condvar::new(),
         };
 
         std::thread::scope(|scope| {
-            ctx.live.store(workers, Ordering::Release);
             for _ in 0..workers {
                 scope.spawn(|| worker_loop(&ctx));
             }
             // The calling thread is the supervisor: scan deadlines,
             // respawn retired workers, and settle external cancellation
             // until every slot is filled.
-            while ctx.unresolved.load(Ordering::Acquire) > 0 {
+            let mut pool = ctx.lock();
+            while pool.unresolved > 0 {
                 if ctx.external_cancelled() {
-                    ctx.drain_cancelled();
+                    ctx.drain_cancelled(&mut pool);
                 }
                 if let Some(deadline) = policy.deadline {
-                    let mut running = ctx.running.lock().expect("running poisoned");
-                    for attempt in running.iter_mut() {
+                    let pool = &mut *pool;
+                    for attempt in &mut pool.running {
                         if !attempt.cancelled && attempt.started.elapsed() >= deadline {
                             attempt.token.cancel();
                             attempt.cancelled = true;
-                            ctx.count(
-                                "farm.deadline_cancels",
-                                &ctx.deadline_cancels,
-                                format!("item {} overran {deadline:?}", attempt.item),
-                            );
+                            let detail = format!("item {} overran {deadline:?}", attempt.item);
+                            let stat = &mut pool.stats.deadline_cancels;
+                            ctx.note(stat, "farm.deadline_cancels", detail);
                         }
                     }
                 }
                 // A missing worker while work is unresolved means one
                 // retired after hosting a panic: replace it.
-                let live = ctx.live.load(Ordering::Acquire);
-                if live < workers && ctx.unresolved.load(Ordering::Acquire) > 0 {
-                    for _ in live..workers {
-                        ctx.live.fetch_add(1, Ordering::AcqRel);
-                        ctx.count(
-                            "farm.respawns",
-                            &ctx.respawns,
-                            "replacing retired worker".to_string(),
-                        );
-                        scope.spawn(|| worker_loop(&ctx));
-                    }
+                while pool.unresolved > 0 && pool.live < workers {
+                    pool.live += 1;
+                    let stat = &mut pool.stats.respawns;
+                    ctx.note(stat, "farm.respawns", "replacing retired worker");
+                    scope.spawn(|| worker_loop(&ctx));
                 }
-                std::thread::sleep(policy.poll);
+                pool = if ctx.timed {
+                    ctx.changed
+                        .wait_timeout(pool, policy.poll)
+                        .expect("pool poisoned")
+                        .0
+                } else {
+                    ctx.changed.wait(pool).expect("pool poisoned")
+                };
             }
         });
 
-        let stats = SuperviseStats {
-            retries: ctx.retries.load(Ordering::Relaxed),
-            respawns: ctx.respawns.load(Ordering::Relaxed),
-            deadline_cancels: ctx.deadline_cancels.load(Ordering::Relaxed),
-            chaos_injected: ctx.chaos_injected.load(Ordering::Relaxed),
-        };
-        let results = slots
+        let pool = ctx.pool.into_inner().expect("pool poisoned");
+        let results = pool
+            .slots
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("supervisor exits only when every slot is filled")
-            })
-            .collect();
-        (results, workers, started.elapsed(), stats)
-    }
-
-    /// [`Farm::run`] under supervision: scenario jobs with deadlines,
-    /// retries and respawn. Outcomes keep submission order; a job that
-    /// exhausts its attempts reports [`JobError::Deadline`] or
-    /// [`JobError::Panicked`] — metrics of successful jobs are
-    /// bit-identical to an unsupervised run.
-    pub fn run_supervised(
-        &self,
-        jobs: &[ScenarioJob],
-        policy: &SupervisePolicy,
-    ) -> (BatchReport, SuperviseStats) {
-        let (results, workers, wall, stats) = self.run_map_supervised(
-            jobs,
-            |job: &ScenarioJob| run_scenario(&job.config, &job.plan, &job.schedule),
-            policy,
-        );
-        let outcomes = results
-            .into_iter()
-            .enumerate()
-            .map(|(index, (job_wall, result))| JobOutcome {
-                index,
-                label: jobs[index].label.clone(),
-                wall: job_wall,
-                result: match result {
-                    Ok(Ok(metrics)) => Ok(metrics),
-                    Ok(Err(e)) => Err(JobError::Schedule(e)),
-                    Err(SupervisedError::Panicked(msg)) => Err(JobError::Panicked(msg)),
-                    Err(SupervisedError::Deadline { limit, attempts }) => Err(JobError::Deadline {
-                        limit_ms: limit.as_millis() as u64,
-                        attempts,
-                    }),
-                    Err(SupervisedError::Cancelled) => Err(JobError::Deadline {
-                        limit_ms: 0,
-                        attempts: 0,
-                    }),
-                },
-            })
-            .collect();
-        (
-            BatchReport {
-                outcomes,
-                workers,
-                wall,
-            },
-            stats,
-        )
+            .map(|slot| slot.expect("every slot is filled"));
+        (results.collect(), workers, started.elapsed(), pool.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tve_soc::{paper_schedules, SocConfig, SocTestPlan};
+    use crate::farm::ScenarioJob;
+    use tve_core::ScheduleError;
+    use tve_soc::{paper_schedules, run_scenario, ScenarioMetrics, SocConfig, SocTestPlan};
 
     fn mini_jobs() -> Vec<ScenarioJob> {
         let config = SocConfig {
@@ -570,6 +524,29 @@ mod tests {
             .into_iter()
             .map(|s| ScenarioJob::new(config.clone(), plan.clone(), s))
             .collect()
+    }
+
+    type ScenarioResults = Vec<Resolved<Result<ScenarioMetrics, ScheduleError>>>;
+
+    /// The scenario jobs on `farm` under `policy`.
+    fn run_jobs(
+        farm: &Farm,
+        jobs: &[ScenarioJob],
+        policy: &SupervisePolicy,
+    ) -> (ScenarioResults, SuperviseStats) {
+        let (results, _, _, stats) = farm.run_map_supervised(
+            jobs,
+            |job| run_scenario(&job.config, &job.plan, &job.schedule),
+            policy,
+        );
+        (results, stats)
+    }
+
+    fn digest(result: &Resolved<Result<ScenarioMetrics, ScheduleError>>) -> u64 {
+        match &result.1 {
+            Ok(Ok(metrics)) => metrics.digest(),
+            other => panic!("job failed: {other:?}"),
+        }
     }
 
     fn chaos(faults: Vec<((usize, usize), ChaosFault)>) -> ChaosHook {
@@ -589,14 +566,17 @@ mod tests {
         let policy = SupervisePolicy::new()
             .with_chaos(chaos(vec![((1, 0), ChaosFault::Panic)]))
             .with_retry_budget(1);
-        let (report, stats) = Farm::with_workers(2).run_supervised(&jobs, &policy);
-        assert!(report.all_ok(), "retry must heal a single injected fault");
+        let (results, stats) = run_jobs(&Farm::with_workers(2), &jobs, &policy);
+        assert!(
+            results.iter().all(|(_, r)| matches!(r, Ok(Ok(_)))),
+            "retry must heal a single injected fault"
+        );
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.chaos_injected, 1);
-        for (a, b) in clean.outcomes.iter().zip(&report.outcomes) {
+        for (a, b) in clean.outcomes.iter().zip(&results) {
             assert_eq!(
                 a.expect_metrics().digest(),
-                b.expect_metrics().digest(),
+                digest(b),
                 "job '{}' diverged under supervision",
                 a.label
             );
@@ -668,9 +648,9 @@ mod tests {
             .with_retry_budget(0)
             .with_poll(Duration::from_micros(200));
         let started = Instant::now();
-        let (report, stats) = Farm::with_workers(1).run_supervised(&jobs, &policy);
-        match &report.outcomes[0].result {
-            Err(JobError::Deadline { attempts, .. }) => assert_eq!(*attempts, 1),
+        let (results, stats) = run_jobs(&Farm::with_workers(1), &jobs, &policy);
+        match &results[0].1 {
+            Err(SupervisedError::Deadline { attempts, .. }) => assert_eq!(*attempts, 1),
             other => panic!("expected Deadline, got {other:?}"),
         }
         assert!(stats.deadline_cancels >= 1);
@@ -704,11 +684,10 @@ mod tests {
             ((2, 0), ChaosFault::Panic),
         ]);
         let policy = SupervisePolicy::new().with_chaos(hook).with_retry_budget(1);
-        let (one, _) = Farm::with_workers(1).run_supervised(&jobs, &policy);
-        let (many, _) = Farm::with_workers(8).run_supervised(&jobs, &policy);
-        assert!(one.all_ok() && many.all_ok());
-        for (a, b) in one.outcomes.iter().zip(&many.outcomes) {
-            assert_eq!(a.expect_metrics().digest(), b.expect_metrics().digest());
+        let (one, _) = run_jobs(&Farm::with_workers(1), &jobs, &policy);
+        let (many, _) = run_jobs(&Farm::with_workers(8), &jobs, &policy);
+        for (a, b) in one.iter().zip(&many) {
+            assert_eq!(digest(a), digest(b));
         }
     }
 }

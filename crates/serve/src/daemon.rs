@@ -31,16 +31,19 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tve_campaign::{
-    campaign_fingerprint, diagnose_scan_fault, run_cell, CampaignReport, CellOutcome, CellResult,
-    FaultSpec, ShardReport, ShardSpec,
+    CampaignConfig, CellOutcome, CellPipeline, CellResult, CellStore, DiagnosisCheck, Hit,
+    PipelineError, ShardSpec,
 };
 use tve_core::Schedule;
-use tve_obs::{append_json_string, parse_json, IoPolicy, JsonValue, OpsCounters, WriteFault};
-use tve_sched::{ChaosFault, ChaosHook, Farm, SupervisePolicy, SupervisedError};
+use tve_obs::{
+    append_json_string, append_json_strings, fnv1a, parse_json, IoPolicy, JsonValue, OpsCounters,
+    WriteFault,
+};
+use tve_sched::{panic_message, ChaosFault, ChaosHook, Farm, SupervisePolicy};
 use tve_sim::{silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled};
 use tve_soc::{paper_schedules, run_scenario, ScenarioMetrics};
 
@@ -49,12 +52,8 @@ use crate::cache::{CachedValue, ResultCache};
 use crate::chaos::{ChaosSite, ChaosSpec};
 use crate::error::ServeError;
 use crate::invalidate::edit_impact;
-use crate::key::{bounds_key, cell_key, diagnosis_key, fnv1a, lint_key, schedule_tests, test_mask};
+use crate::key::{bounds_key, cell_key, diagnosis_key, lint_key, schedule_tests, test_mask};
 use crate::proto::{read_frame, write_frame, JobKind, JobSpec};
-
-/// Per-item timed results from a supervised farm map, with permanent
-/// worker failures degraded to per-item error strings.
-type TimedResults<R> = Vec<(Duration, Result<R, String>)>;
 
 /// The default socket path (also the `TVE_SERVE_SOCKET` default).
 pub const DEFAULT_SOCKET: &str = "target/tve-serve.sock";
@@ -208,40 +207,18 @@ impl Shared {
         }))
     }
 
-    /// Runs a farm map under supervision: worker panics are retried
-    /// within the daemon retry budget (a permanent failure degrades to
-    /// a per-item error, same shape as the unsupervised farm), and a
-    /// job-deadline cancellation surfaces as a typed deadline error.
-    fn farm_map_supervised<T, R, F>(
-        self: &Arc<Self>,
-        ctx: &JobCtx,
-        items: &[T],
-        f: F,
-    ) -> Result<TimedResults<R>, ServeError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let mut policy = SupervisePolicy::default()
+    /// The supervised-farm policy of one job: worker panics are retried
+    /// within the daemon retry budget, and the job token cancels the
+    /// whole batch.
+    fn farm_policy(self: &Arc<Self>, ctx: &JobCtx) -> SupervisePolicy {
+        let policy = SupervisePolicy::default()
             .with_retry_budget(self.retries)
             .with_external(Arc::clone(&ctx.token))
             .with_counters(self.ops.clone());
-        if let Some(hook) = self.chaos_hook() {
-            policy = policy.with_chaos(hook);
+        match self.chaos_hook() {
+            Some(hook) => policy.with_chaos(hook),
+            None => policy,
         }
-        let (results, _, _, _) = self.farm.run_map_supervised(items, f, &policy);
-        let mut out = Vec::with_capacity(results.len());
-        for (wall, result) in results {
-            match result {
-                Ok(value) => out.push((wall, Ok(value))),
-                Err(SupervisedError::Panicked(message)) => out.push((wall, Err(message))),
-                Err(SupervisedError::Deadline { .. }) | Err(SupervisedError::Cancelled) => {
-                    return Err(deadline_error(ctx))
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -255,47 +232,27 @@ fn deadline_error(ctx: &JobCtx) -> ServeError {
     }
 }
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("non-string panic payload")
-        .to_string()
-}
-
 /// Watches one job's deadline on a helper thread; cancels the job token
-/// when it fires. Drop (job finished) stops the watcher promptly.
+/// when it fires. Drop (job finished) hangs up the channel, which stops
+/// the watcher promptly.
 struct DeadlineWatch {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl DeadlineWatch {
     fn spawn(token: Arc<CancelToken>, limit: Duration) -> DeadlineWatch {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let inner = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread = std::thread::Builder::new()
             .name("tve-serve-deadline".into())
             .spawn(move || {
-                let (lock, cv) = &*inner;
-                let deadline = Instant::now() + limit;
-                let mut done = lock.lock().expect("deadline watch lock");
-                while !*done {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        token.cancel();
-                        return;
-                    }
-                    let (next, _) = cv
-                        .wait_timeout(done, deadline - now)
-                        .expect("deadline watch lock (condvar)");
-                    done = next;
+                if stopped.recv_timeout(limit) == Err(mpsc::RecvTimeoutError::Timeout) {
+                    token.cancel();
                 }
             })
             .expect("spawn deadline watcher");
         DeadlineWatch {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
@@ -303,8 +260,7 @@ impl DeadlineWatch {
 
 impl Drop for DeadlineWatch {
     fn drop(&mut self) {
-        *self.stop.0.lock().expect("deadline watch lock") = true;
-        self.stop.1.notify_all();
+        drop(self.stop.take());
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -321,11 +277,7 @@ fn verify_sampled(key: u64, fraction: f64) -> bool {
         return false;
     }
     // splitmix64 of the key, mapped to [0, 1).
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z as f64 / u64::MAX as f64) < fraction
+    (crate::client::splitmix64(key) as f64 / u64::MAX as f64) < fraction
 }
 
 /// A running daemon spawned in-process (tests, benches).
@@ -344,7 +296,7 @@ impl DaemonHandle {
             Ok(result) => result,
             Err(payload) => Err(io::Error::other(format!(
                 "daemon thread panicked: {}",
-                payload_message(payload.as_ref())
+                panic_message(payload.as_ref())
             ))),
         }
     }
@@ -488,7 +440,7 @@ fn accept_loop(listener: UnixListener, shared: Arc<Shared>) -> io::Result<()> {
                         if let Err(payload) = result {
                             conn_shared.record_panic(&format!(
                                 "connection thread panicked: {}",
-                                payload_message(payload.as_ref())
+                                panic_message(payload.as_ref())
                             ));
                         }
                     })?;
@@ -797,19 +749,13 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                     .collect::<Vec<_>>()
                     .join(",")
             );
-            for (i, core) in impact.cores.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                append_json_string(&mut out, core);
-            }
+            append_json_strings(&mut out, impact.cores.iter().map(String::as_str), ",");
             out.push_str("],\"affected_schedules\":[");
-            for (i, name) in impact.affected_schedules.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                append_json_string(&mut out, name);
-            }
+            append_json_strings(
+                &mut out,
+                impact.affected_schedules.iter().map(String::as_str),
+                ",",
+            );
             out.push_str("]}");
             Ok(out)
         }
@@ -890,7 +836,7 @@ fn execute_guarded(shared: &Arc<Shared>, job: &JobSpec) -> Result<String, ServeE
                 shared.ops.incr("jobs.deadline_cancelled");
                 Err(deadline_error(&ctx))
             } else {
-                let message = payload_message(payload.as_ref());
+                let message = panic_message(payload.as_ref());
                 shared.record_panic(&format!("job panicked: {message}"));
                 Err(ServeError::internal(format!("job panicked: {message}")))
             }
@@ -977,6 +923,113 @@ fn run_schedule_job(shared: &Shared, job: &JobSpec, index: usize) -> Result<Stri
     Ok(out)
 }
 
+/// The result cache as a campaign [`CellStore`]: goldens and cells
+/// under [`cell_key`], diagnosis checks under [`diagnosis_key`], every
+/// hit sampled for verification at the job's fraction.
+struct CacheStore<'a> {
+    shared: &'a Shared,
+    campaign: &'a CampaignConfig,
+    fraction: f64,
+}
+
+impl CacheStore<'_> {
+    fn cell_key(&self, schedule: &Schedule, fault_id: &str) -> u64 {
+        let c = self.campaign;
+        cell_key(&c.soc, &c.plan, schedule, fault_id, &self.shared.quantum)
+    }
+
+    fn diagnosis_key(&self, fault_id: &str) -> u64 {
+        let c = self.campaign;
+        diagnosis_key(
+            &c.soc,
+            c.plan.seed,
+            c.diagnosis_patterns,
+            c.diagnosis_window,
+            fault_id,
+        )
+    }
+
+    /// A cache hit at `key`, sampled for verification.
+    fn hit<T>(&self, key: u64, value: T) -> Option<Hit<T>> {
+        Some(Hit {
+            value,
+            verify: verify_sampled(key, self.fraction),
+        })
+    }
+}
+
+const KIND_MISMATCH: &str = "cache kind mismatch (key collision?)";
+
+impl CellStore for CacheStore<'_> {
+    fn golden(&mut self, schedule: &Schedule) -> Result<Option<Hit<ScenarioMetrics>>, String> {
+        let key = self.cell_key(schedule, "golden");
+        match self.shared.cache.lookup(key) {
+            Some(CachedValue::Metrics(metrics)) => Ok(self.hit(key, *metrics)),
+            Some(_) => Err(KIND_MISMATCH.into()),
+            None => Ok(None),
+        }
+    }
+
+    fn put_golden(&mut self, schedule: &Schedule, metrics: &ScenarioMetrics) -> Result<(), String> {
+        self.shared.cache.insert(
+            self.cell_key(schedule, "golden"),
+            CachedValue::Metrics(Box::new(metrics.clone())),
+            test_mask(&schedule_tests(schedule)),
+        );
+        Ok(())
+    }
+
+    fn cell(
+        &mut self,
+        _index: usize,
+        fault_id: &str,
+        schedule: &Schedule,
+    ) -> Result<Option<Hit<CellOutcome>>, String> {
+        let key = self.cell_key(schedule, fault_id);
+        match self.shared.cache.lookup(key) {
+            Some(CachedValue::Cell(outcome)) => Ok(self.hit(key, outcome)),
+            Some(_) => Err(KIND_MISMATCH.into()),
+            None => Ok(None),
+        }
+    }
+
+    fn put_cells(&mut self, cells: &[(usize, &Schedule, CellResult)]) -> Result<(), String> {
+        for (_, schedule, cell) in cells {
+            self.shared.cache.insert(
+                self.cell_key(schedule, &cell.fault_id),
+                CachedValue::Cell(cell.outcome.clone()),
+                test_mask(&schedule_tests(schedule)),
+            );
+        }
+        Ok(())
+    }
+
+    fn diagnosis(&mut self, fault_id: &str) -> Result<Option<DiagnosisCheck>, String> {
+        match self.shared.cache.lookup(self.diagnosis_key(fault_id)) {
+            Some(CachedValue::Diagnosis(check)) => Ok(Some(*check)),
+            Some(_) => Err(KIND_MISMATCH.into()),
+            None => Ok(None),
+        }
+    }
+
+    fn put_diagnoses(&mut self, checks: &[DiagnosisCheck]) -> Result<(), String> {
+        // Independent of the schedules (mask 0), so entries survive
+        // schedule-set changes.
+        for check in checks {
+            self.shared.cache.insert(
+                self.diagnosis_key(&check.fault_id),
+                CachedValue::Diagnosis(Box::new(check.clone())),
+                0,
+            );
+        }
+        Ok(())
+    }
+}
+
+/// Runs one campaign job — the campaign cell pipeline over the result
+/// cache — and formats its response. A shard job keeps only its
+/// residue class of the flat cell index (the partition `tve-campaign`
+/// proves tiles the matrix) and answers with a mergeable shard report.
 fn run_campaign_job(
     shared: &Arc<Shared>,
     job: &JobSpec,
@@ -988,308 +1041,70 @@ fn run_campaign_job(
     let campaign = job
         .campaign_config()
         .expect("run_campaign_job is only dispatched for campaign jobs");
-    let config = campaign.soc.clone();
-    let plan = campaign.plan.clone();
-    let schedules = campaign.schedules.clone();
-    let population = campaign.population.clone();
-    let diagnosis = campaign.diagnosis;
     let shard_spec = shard.unwrap_or_else(ShardSpec::full);
-    let fraction = shared.verify_fraction(job);
-    let mut verified = 0u64;
-    let mut verify_failures: Vec<String> = Vec::new();
-
-    // Golden baselines: serve hits, farm the misses.
-    let golden_keys: Vec<u64> = schedules
-        .iter()
-        .map(|s| cell_key(&config, &plan, s, "golden", &shared.quantum))
-        .collect();
-    let mut golden: BTreeMap<String, ScenarioMetrics> = BTreeMap::new();
-    let mut golden_missing: Vec<Schedule> = Vec::new();
-    let mut golden_hit_indices: Vec<usize> = Vec::new();
-    for (i, schedule) in schedules.iter().enumerate() {
-        match shared.cache.lookup(golden_keys[i]) {
-            Some(CachedValue::Metrics(metrics)) => {
-                golden.insert(schedule.name.clone(), *metrics);
-                golden_hit_indices.push(i);
-            }
-            Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-            None => golden_missing.push(schedule.clone()),
-        }
-    }
-    let goldens_simulated = golden_missing.len();
-    if !golden_missing.is_empty() {
-        let results = shared.farm_map_supervised(ctx, &golden_missing, |schedule| {
-            run_scenario(&config, &plan, schedule).map_err(|e| e.to_string())
+    let mut store = CacheStore {
+        shared,
+        campaign: &campaign,
+        fraction: shared.verify_fraction(job),
+    };
+    let mut pipeline =
+        CellPipeline::new(&campaign, &shared.farm).with_policy(shared.farm_policy(ctx));
+    let run = pipeline
+        .run(&|index| shard_spec.owns(index), &mut store)
+        .map_err(|e| match e {
+            PipelineError::Cancelled => deadline_error(ctx),
+            other => other.to_string().into(),
         })?;
-        for (schedule, (_, result)) in golden_missing.iter().zip(results) {
-            let metrics = result
-                .map_err(|panic| format!("golden run of '{}' panicked: {panic}", schedule.name))?
-                .map_err(|e| format!("golden run of '{}' failed: {e}", schedule.name))?;
-            if !metrics.result.clean() {
-                return Err(format!(
-                    "golden run of '{}' reported errors: {}",
-                    schedule.name, metrics.result
-                )
-                .into());
-            }
-            let key = cell_key(&config, &plan, schedule, "golden", &shared.quantum);
-            shared.cache.insert(
-                key,
-                CachedValue::Metrics(Box::new(metrics.clone())),
-                test_mask(&schedule_tests(schedule)),
-            );
-            golden.insert(schedule.name.clone(), metrics);
-        }
-    }
-    // Sampled re-execution of golden hits.
-    let golden_to_verify: Vec<Schedule> = golden_hit_indices
-        .iter()
-        .filter(|&&i| verify_sampled(golden_keys[i], fraction))
-        .map(|&i| schedules[i].clone())
-        .collect();
-    if !golden_to_verify.is_empty() {
-        let results = shared.farm_map_supervised(ctx, &golden_to_verify, |schedule| {
-            run_scenario(&config, &plan, schedule).map_err(|e| e.to_string())
-        })?;
-        for (schedule, (_, result)) in golden_to_verify.iter().zip(results) {
-            verified += 1;
-            let fresh_digest = match result {
-                Ok(Ok(m)) => m.digest(),
-                _ => 0,
-            };
-            if golden[&schedule.name].digest() != fresh_digest {
-                verify_failures.push(format!("golden '{}'", schedule.name));
-            }
-        }
-    }
-
-    // The (fault × schedule) matrix, fault-major, cache-aware. A shard
-    // job keeps only its residue class of the flat cell index — the
-    // same partition `tve-campaign` proves tiles the matrix exactly.
-    // (Goldens above are computed for every job schedule regardless:
-    // all shards of a fan-out hit this same daemon, so the cache
-    // serves them once for the whole set.)
-    let schedule_count = schedules.len();
-    let cells: Vec<(usize, usize)> = (0..population.len())
-        .flat_map(|f| (0..schedule_count).map(move |s| (f, s)))
-        .filter(|&(f, s)| shard_spec.owns(f * schedule_count + s))
-        .collect();
-    let cell_keys: Vec<u64> = cells
-        .iter()
-        .map(|&(fi, si)| {
-            cell_key(
-                &config,
-                &plan,
-                &schedules[si],
-                &population[fi].id(),
-                &shared.quantum,
-            )
-        })
-        .collect();
-    let mut outcomes: Vec<Option<CellOutcome>> = vec![None; cells.len()];
-    let mut missing: Vec<(usize, usize, usize)> = Vec::new(); // (cell idx, fi, si)
-    let mut hit_cells: Vec<usize> = Vec::new();
-    for (ci, &(fi, si)) in cells.iter().enumerate() {
-        match shared.cache.lookup(cell_keys[ci]) {
-            Some(CachedValue::Cell(outcome)) => {
-                outcomes[ci] = Some(outcome);
-                hit_cells.push(ci);
-            }
-            Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-            None => missing.push((ci, fi, si)),
-        }
-    }
-    let cells_simulated = missing.len();
-    if !missing.is_empty() {
-        let results = shared.farm_map_supervised(ctx, &missing, |&(_, fi, si)| {
-            run_cell(
-                &config,
-                &plan,
-                &schedules[si],
-                &population[fi],
-                &golden[&schedules[si].name],
-            )
-        })?;
-        for (&(ci, fi, si), (_, result)) in missing.iter().zip(results) {
-            let outcome =
-                result.unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg });
-            shared.cache.insert(
-                cell_keys[ci],
-                CachedValue::Cell(outcome.clone()),
-                test_mask(&schedule_tests(&schedules[si])),
-            );
-            let _ = fi;
-            outcomes[ci] = Some(outcome);
-        }
-    }
-    // Sampled re-execution of cell hits.
-    let cells_to_verify: Vec<(usize, usize, usize)> = hit_cells
-        .iter()
-        .filter(|&&ci| verify_sampled(cell_keys[ci], fraction))
-        .map(|&ci| (ci, cells[ci].0, cells[ci].1))
-        .collect();
-    if !cells_to_verify.is_empty() {
-        let results = shared.farm_map_supervised(ctx, &cells_to_verify, |&(_, fi, si)| {
-            run_cell(
-                &config,
-                &plan,
-                &schedules[si],
-                &population[fi],
-                &golden[&schedules[si].name],
-            )
-        })?;
-        for (&(ci, fi, _), (_, result)) in cells_to_verify.iter().zip(results) {
-            verified += 1;
-            let fresh =
-                result.unwrap_or_else(|panic_msg| CellOutcome::InfraFailure { error: panic_msg });
-            if outcomes[ci].as_ref() != Some(&fresh) {
-                verify_failures.push(format!(
-                    "cell {} x '{}'",
-                    population[fi].id(),
-                    schedules[cells[ci].1].name
-                ));
-            }
-        }
-    }
-
-    let results: Vec<CellResult> = cells
-        .iter()
-        .zip(&outcomes)
-        .map(|(&(fi, si), outcome)| CellResult {
-            fault_id: population[fi].id(),
-            fault_class: population[fi].class().to_string(),
-            schedule: schedules[si].name.clone(),
-            outcome: outcome.clone().expect("every cell resolved"),
-        })
-        .collect();
-
-    // Diagnosis cross-check, cached per fault (independent of the
-    // schedules, so entries survive schedule-set changes).
-    let mut diagnosis_checks = Vec::new();
-    let mut diagnoses_simulated = 0usize;
-    if diagnosis {
-        // In shard mode `results` holds only owned cells, so each
-        // shard diagnoses exactly the scan faults detected within its
-        // own cells — the union over a shard set is the unsharded set.
-        let detected_scan: Vec<FaultSpec> = population
-            .iter()
-            .filter(|f| matches!(f, FaultSpec::ScanCell { .. }))
-            .filter(|f| {
-                results.iter().any(|r| {
-                    r.fault_id == f.id() && matches!(r.outcome, CellOutcome::Detected { .. })
-                })
-            })
-            .cloned()
-            .collect();
-        let mut diag_missing = Vec::new();
-        let mut diag_results: Vec<Option<tve_campaign::DiagnosisCheck>> =
-            vec![None; detected_scan.len()];
-        for (i, fault) in detected_scan.iter().enumerate() {
-            let key = diagnosis_key(
-                &config,
-                plan.seed,
-                campaign.diagnosis_patterns,
-                campaign.diagnosis_window,
-                &fault.id(),
-            );
-            match shared.cache.lookup(key) {
-                Some(CachedValue::Diagnosis(check)) => diag_results[i] = Some(*check),
-                Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-                None => diag_missing.push((i, fault.clone())),
-            }
-        }
-        diagnoses_simulated = diag_missing.len();
-        if !diag_missing.is_empty() {
-            let checks = shared.farm_map_supervised(ctx, &diag_missing, |(_, fault)| {
-                let FaultSpec::ScanCell { core, cell } = fault else {
-                    unreachable!("filtered to scan faults");
-                };
-                diagnose_scan_fault(&campaign, *core, *cell)
-            })?;
-            for ((i, fault), (_, check)) in diag_missing.iter().zip(checks) {
-                let check = check.map_err(|panic| format!("diagnosis panicked: {panic}"))?;
-                let key = diagnosis_key(
-                    &config,
-                    plan.seed,
-                    campaign.diagnosis_patterns,
-                    campaign.diagnosis_window,
-                    &fault.id(),
-                );
-                shared
-                    .cache
-                    .insert(key, CachedValue::Diagnosis(Box::new(check.clone())), 0);
-                diag_results[*i] = Some(check);
-            }
-        }
-        diagnosis_checks = diag_results
-            .into_iter()
-            .map(|c| c.expect("every diagnosis resolved"))
-            .collect();
-    }
-
+    let counts = run.counts;
+    let verified = counts.verified;
     shared
         .cache
-        .record_verified(verified, verify_failures.len() as u64);
-    if !verify_failures.is_empty() {
+        .record_verified(verified as u64, run.verify_failures.len() as u64);
+    if !run.verify_failures.is_empty() {
         return Err(format!(
             "verify-cache mismatch on {} of {verified} sampled hits: {}",
-            verify_failures.len(),
-            verify_failures.join(", ")
+            run.verify_failures.len(),
+            run.verify_failures.join(", ")
         )
         .into());
     }
-
-    // Shard jobs answer with a mergeable shard report instead of the
-    // full artifacts; `merge_shards` on the client side validates the
-    // fingerprint and reassembles the byte-identical matrix.
+    use std::fmt::Write;
     if shard.is_some() {
-        let shard_report = ShardReport {
-            fingerprint: campaign_fingerprint(&campaign),
-            shard: shard_spec,
-            total_cells: population.len() * schedule_count,
-            schedules: schedules.iter().map(|s| s.name.clone()).collect(),
-            prescreened: Vec::new(),
-            cells: cells
-                .iter()
-                .map(|&(fi, si)| fi * schedule_count + si)
-                .zip(results)
-                .collect(),
-            diagnosis: diagnosis_checks,
-        };
+        let shard_report = pipeline.shard_report(shard_spec, run);
         let mut out = format!(
             "\"kind\":\"campaign-shard\",\"shard\":\"{shard_spec}\",\
              \"fingerprint\":\"{:016x}\",\"cells\":{},\
-             \"cells_simulated\":{cells_simulated},\
-             \"goldens_simulated\":{goldens_simulated},\
-             \"diagnoses_simulated\":{diagnoses_simulated},\
+             \"cells_simulated\":{},\
+             \"goldens_simulated\":{},\
+             \"diagnoses_simulated\":{},\
              \"verified\":{verified},\"shard_json\":",
             shard_report.fingerprint,
-            shard_report.cells.len()
+            shard_report.cells.len(),
+            counts.cells_simulated,
+            counts.goldens_simulated,
+            counts.diagnoses_simulated,
         );
         append_json_string(&mut out, &shard_report.to_json());
         return Ok(out);
     }
 
-    let report = CampaignReport {
-        schedules: schedules.iter().map(|s| s.name.clone()).collect(),
-        prescreened: Vec::new(),
-        cells: results,
-        diagnosis: diagnosis_checks,
-    };
+    let cells = run.cells.into_iter().map(|(_, cell)| cell).collect();
+    let report = pipeline.report(cells, run.diagnosis);
     let csv = report.to_csv();
     let json = report.to_json();
-
-    use std::fmt::Write;
     let mut out = String::with_capacity(csv.len() + json.len() + 512);
     let _ = write!(
         out,
-        "\"kind\":\"campaign\",\"cells\":{},\"cells_simulated\":{cells_simulated},\
-         \"cells_cached\":{},\"goldens_simulated\":{goldens_simulated},\
-         \"diagnoses_simulated\":{diagnoses_simulated},\"verified\":{verified},\
+        "\"kind\":\"campaign\",\"cells\":{},\"cells_simulated\":{},\
+         \"cells_cached\":{},\"goldens_simulated\":{},\
+         \"diagnoses_simulated\":{},\"verified\":{verified},\
          \"csv_digest\":\"{:#018x}\",\"union_escapes\":{},\
          \"all_diagnoses_confirmed\":{},\"coverage\":[",
         report.cells.len(),
-        report.cells.len() - cells_simulated,
+        counts.cells_simulated,
+        counts.cells_stored,
+        counts.goldens_simulated,
+        counts.diagnoses_simulated,
         fnv1a(csv.as_bytes()),
         report.union_escapes().len(),
         report.all_diagnoses_confirmed()

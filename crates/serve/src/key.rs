@@ -16,23 +16,15 @@
 //! * the loosely-timed quantum setting, which legitimately changes
 //!   results.
 //!
-//! Keys are FNV-1a over a canonical text encoding. The encoding uses
-//! the types' `Debug` forms, which is sound here because the cache
-//! lives in one daemon process: keys never cross a build, so the only
-//! requirement is that equal inputs encode equally and different
-//! inputs differently within this binary.
+//! Keys are FNV-1a ([`tve_obs::fnv1a`]) over a canonical text
+//! encoding. The encoding uses the types' `Debug` forms, which is sound
+//! here because the cache lives in one daemon process: keys never cross
+//! a build, so the only requirement is that equal inputs encode equally
+//! and different inputs differently within this binary.
 
 use tve_core::Schedule;
+use tve_obs::fnv1a;
 use tve_soc::{SocConfig, SocTestPlan};
-
-/// FNV-1a (the workspace's standard digest) over `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// The distinct test indices a schedule runs, ascending.
 pub fn schedule_tests(schedule: &Schedule) -> Vec<usize> {

@@ -16,7 +16,10 @@ use std::path::Path;
 
 use tve_campaign::{diagnosis_from_json, diagnosis_to_json, CellOutcome};
 use tve_core::{TestOutcome, TestSlot};
-use tve_obs::{append_json_string, read_journal, IoPolicy, Journal, JournalDefect, JsonValue};
+use tve_obs::{
+    append_json_string, append_json_strings, read_journal, IoPolicy, Journal, JournalDefect,
+    JsonValue,
+};
 use tve_sim::Time;
 use tve_soc::{PowerSummary, ScenarioMetrics};
 
@@ -231,12 +234,7 @@ fn append_outcome(out: &mut String, outcome: &CellOutcome) {
                 ",\"latency\":\"{}\",\"deviating\":[",
                 hex_u64(*latency_cycles)
             ));
-            for (i, name) in deviating.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                append_json_string(out, name);
-            }
+            append_json_strings(out, deviating.iter().map(String::as_str), ",");
             out.push(']');
         }
         CellOutcome::Escape => {}
@@ -254,15 +252,8 @@ fn outcome_from_json(v: &JsonValue) -> Result<CellOutcome, String> {
             latency_cycles: want_hex(v, "latency", "detected outcome")?,
             deviating: v
                 .get("deviating")
-                .and_then(JsonValue::as_arr)
-                .ok_or("detected outcome missing 'deviating'")?
-                .iter()
-                .map(|name| {
-                    name.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "non-string entry in 'deviating'".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+                .and_then(JsonValue::as_str_vec)
+                .ok_or("detected outcome missing string-array 'deviating'")?,
         }),
         Some("escape") => Ok(CellOutcome::Escape),
         Some("infra-failure") => Ok(CellOutcome::InfraFailure {

@@ -87,8 +87,7 @@ fn soundness_paper_schedules_lint_clean_and_execute_clean() {
         })
         .map(|s| ScenarioJob::new(cfg.clone(), plan.clone(), s))
         .collect();
-    let batch = Farm::new().run_prescreened(&jobs);
-    assert_eq!(batch.rejected_count(), 0);
+    let batch = Farm::new().run(&jobs);
     for outcome in &batch.outcomes {
         let metrics = outcome.expect_metrics();
         assert!(
@@ -286,17 +285,23 @@ fn prescreen_rejections_predict_dynamic_schedule_errors() {
         Schedule::new("oob", vec![vec![9]]),
         Schedule::new("dup", vec![vec![0], vec![0]]),
     ];
+    let facts = soc_facts(&cfg, &plan);
+    let reports: Vec<_> = bad
+        .iter()
+        .map(|s| lint_schedule_report(s, &facts))
+        .collect();
+    for (report, schedule) in reports.iter().zip(&bad) {
+        assert!(!report.clean(), "'{}' was not rejected", schedule.name);
+    }
     let jobs: Vec<ScenarioJob> = bad
         .iter()
         .map(|s| ScenarioJob::new(cfg.clone(), plan.clone(), s.clone()))
         .collect();
-    let batch = Farm::with_workers(2).run_prescreened(&jobs);
-    assert_eq!(batch.rejected_count(), bad.len());
-    for (outcome, schedule) in batch.outcomes.iter().zip(&bad) {
-        let Err(JobError::Rejected(report)) = &outcome.result else {
-            panic!("'{}' was not rejected", outcome.label);
+    let batch = Farm::with_workers(2).run(&jobs);
+    for (outcome, report) in batch.outcomes.iter().zip(&reports) {
+        let Err(JobError::Schedule(dynamic)) = &outcome.result else {
+            panic!("'{}' did not fail dynamically", outcome.label);
         };
-        let dynamic = run_scenario(&cfg, &plan, schedule).unwrap_err();
         assert!(
             report.has(dynamic.code()),
             "'{}': dynamic {dynamic:?} ({}) not among static codes {:?}",
