@@ -1,14 +1,14 @@
 //! The on-chip test controller (paper Section III.E): drives the memory
 //! array BIST (march + pattern tests) over the TAM.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
 use tve_memtest::{MarchOp, MarchOrder, MarchTest, PatternTest};
 use tve_obs::{Recorder, SpanKind, SpanRecord};
 use tve_sim::{Duration, SimHandle};
-use tve_tlm::{Command, DmiAccess, InitiatorId, TamIf, TamIfExt};
+use tve_tlm::{Command, DmiAccess, InitiatorId, TamError, TamIf, TamIfExt};
 
 use crate::model::DataPolicy;
 use crate::outcome::TestOutcome;
@@ -106,69 +106,45 @@ impl TestController {
         &self.name
     }
 
-    async fn op_write(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, value: u32) {
-        // `try_local_wait` absorbs the overhead into the quantum offset
-        // without even building a `Wait`; at memory-test op rates that
-        // bypass is measurable.
-        if !self.handle.try_local_wait(plan.op_overhead) {
-            self.handle.wait(plan.op_overhead).await;
-        }
-        self.bus_write(plan, out, addr, value).await;
-    }
-
-    async fn bus_write(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, value: u32) {
-        let result = if plan.policy == DataPolicy::Volume {
-            self.tam
-                .transfer_volume(self.initiator, Command::Write, plan.base_addr + addr, 32)
-                .await
-        } else {
-            self.tam
-                .write(self.initiator, plan.base_addr + addr, &[value], 32)
-                .await
-        };
-        out.patterns += 1;
-        out.stimulus_bits += 32;
-        if result.is_err() {
-            out.errors += 1;
+    /// Waits out the engine overhead of one operation, without a `Wait`
+    /// future when the kernel lets the wait complete in place.
+    async fn overhead(&self, d: Duration) {
+        if !self.handle.try_local_wait(d) {
+            self.handle.wait(d).await;
         }
     }
 
-    async fn op_read(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, expect: u32) {
-        if !self.handle.try_local_wait(plan.op_overhead) {
-            self.handle.wait(plan.op_overhead).await;
-        }
-        self.bus_read(plan, out, addr, expect).await;
-    }
-
-    async fn bus_read(&self, plan: &MemoryTestPlan, out: &mut TestOutcome, addr: u32, expect: u32) {
-        out.patterns += 1;
-        out.response_bits += 32;
-        if plan.policy == DataPolicy::Volume {
-            if self
-                .tam
-                .transfer_volume(self.initiator, Command::Read, plan.base_addr + addr, 32)
-                .await
-                .is_err()
-            {
-                out.errors += 1;
+    /// Performs `op` through the transactional path and books it in `out`.
+    /// `out` is borrowed only after the transfer, so another process may
+    /// book into the same outcome while this one is suspended.
+    async fn bus_op(&self, plan: &MemoryTestPlan, out: &RefCell<TestOutcome>, op: MemOp) {
+        let addr = plan.base_addr + op.addr;
+        let volume = plan.policy == DataPolicy::Volume;
+        match op.write {
+            Some(value) => {
+                let result = if volume {
+                    self.tam
+                        .transfer_volume(self.initiator, Command::Write, addr, 32)
+                        .await
+                } else {
+                    self.tam.write(self.initiator, addr, &[value], 32).await
+                };
+                let mut out = out.borrow_mut();
+                out.patterns += 1;
+                out.stimulus_bits += 32;
+                out.errors += u64::from(result.is_err());
             }
-        } else {
-            match self
-                .tam
-                .read(self.initiator, plan.base_addr + addr, 32)
-                .await
-            {
-                Ok(words) => {
-                    if words.first().copied().unwrap_or(!expect) != expect {
-                        out.mismatches += 1;
-                        if out.failing_addresses.len() < 32
-                            && !out.failing_addresses.contains(&addr)
-                        {
-                            out.failing_addresses.push(addr);
-                        }
-                    }
-                }
-                Err(_) => out.errors += 1,
+            None if volume => {
+                let result = self
+                    .tam
+                    .transfer_volume(self.initiator, Command::Read, addr, 32)
+                    .await;
+                book_read(&mut out.borrow_mut(), result.map(|()| None), op);
+            }
+            None => {
+                let result = self.tam.read(self.initiator, addr, 32).await;
+                let word = result.map(|words| Some(words.first().copied().unwrap_or(!op.expect)));
+                book_read(&mut out.borrow_mut(), word, op);
             }
         }
     }
@@ -197,159 +173,170 @@ impl TestController {
         out
     }
 
-    async fn run_blocking(&self, plan: &MemoryTestPlan) -> TestOutcome {
-        let mut out = TestOutcome::begin(&plan.name, self.handle.now());
-        // A blocking march hammers one word window with single-word
-        // accesses; in loosely-timed mode ask the TAM for a DMI grant
-        // over that window so each operation skips the transaction
-        // build and per-op interface walk. Every granting layer
-        // replicates its observable side effects (simulated time, bus
-        // utilization, power, counters) per op or declines the op, so
-        // results are identical either way (`tests/kernel_digests.rs`).
-        let dmi = if self.handle.lt_active() {
-            Rc::clone(&self.tam).dmi_window(plan.base_addr, plan.words, self.initiator)
-        } else {
-            None
-        };
-        for op in plan.ops() {
-            match &dmi {
-                Some(window) => self.dmi_op(window.as_ref(), plan, &mut out, op).await,
-                None => {
-                    let MemOp {
-                        addr,
-                        write,
-                        expect,
-                    } = op;
-                    if let Some(v) = write {
-                        self.op_write(plan, &mut out, addr, v).await;
-                    } else {
-                        self.op_read(plan, &mut out, addr, expect.unwrap_or(0))
-                            .await;
-                    }
-                }
-            }
-        }
-        out.end = self.handle.now();
-        out
+    /// The DMI grant over the plan's word window, if the TAM offers one.
+    /// A march hammers that window with single-word accesses; the grant
+    /// lets each operation skip the transaction build and per-op
+    /// interface walk. Every granting layer replicates its observable
+    /// side effects (simulated time, bus utilization, power, counters)
+    /// per op or declines the op, so results are identical either way
+    /// (`tests/kernel_digests.rs`, `tests/lone_runner_equivalence.rs`).
+    fn dmi_window(&self, plan: &MemoryTestPlan) -> Option<Rc<dyn DmiAccess>> {
+        Rc::clone(&self.tam).dmi_window(plan.base_addr, plan.words, self.initiator)
     }
 
-    /// One operation over a DMI grant, falling back to the transactional
-    /// path when the grant declines (revocation, contention, exhausted
-    /// quantum budget). The outcome bookkeeping mirrors
-    /// [`TestController::bus_write`] / [`TestController::bus_read`]
-    /// exactly; a granted access cannot fail, so the error counter has
-    /// no DMI arm.
-    async fn dmi_op(
-        &self,
-        window: &dyn DmiAccess,
-        plan: &MemoryTestPlan,
-        out: &mut TestOutcome,
-        op: MemOp,
-    ) {
-        // Engine overhead is identical on both paths.
-        if !self.handle.try_local_wait(plan.op_overhead) {
-            self.handle.wait(plan.op_overhead).await;
-        }
-        let MemOp {
-            addr,
-            write,
-            expect,
-        } = op;
-        if let Some(v) = write {
-            // Volume mode carries no data: the transactional path writes
-            // zeroes through `is_volume_only`, so mirror that here.
-            let value = if plan.policy == DataPolicy::Volume {
-                0
-            } else {
-                v
-            };
-            if window.dmi_write(plan.base_addr + addr, value) {
-                out.patterns += 1;
-                out.stimulus_bits += 32;
-            } else {
-                self.bus_write(plan, out, addr, v).await;
-            }
-        } else {
-            let expect = expect.unwrap_or(0);
-            match window.dmi_read(plan.base_addr + addr) {
-                Some(word) => {
-                    out.patterns += 1;
-                    out.response_bits += 32;
-                    if plan.policy != DataPolicy::Volume && word != expect {
-                        out.mismatches += 1;
-                        if out.failing_addresses.len() < 32
-                            && !out.failing_addresses.contains(&addr)
-                        {
-                            out.failing_addresses.push(addr);
-                        }
-                    }
-                }
-                None => self.bus_read(plan, out, addr, expect).await,
+    /// Blocking engine: each operation waits out the engine overhead,
+    /// then completes its access — over the DMI grant when it admits
+    /// the access, through the transactional path otherwise.
+    async fn run_blocking(&self, plan: &MemoryTestPlan) -> TestOutcome {
+        let out = RefCell::new(TestOutcome::begin(&plan.name, self.handle.now()));
+        let dmi = self.dmi_window(plan);
+        for op in plan.ops() {
+            self.overhead(plan.op_overhead).await;
+            if !dmi
+                .as_ref()
+                .is_some_and(|w| dmi_op(w.as_ref(), plan, &out, op))
+            {
+                self.bus_op(plan, &out, op).await;
             }
         }
+        let mut out = out.into_inner();
+        out.end = self.handle.now();
+        out
     }
 
     /// Pipelined engine: an address generator issues one operation per
     /// `op_overhead` cycles into a bounded queue; an access unit drains the
     /// queue onto the TAM. Under contention the queue backlogs, so the
     /// engine keeps a request pending at the bus.
+    ///
+    /// Inline lane (accurate mode): when the access unit is parked on an
+    /// empty queue and an access takes less than `op_overhead`, the access
+    /// unit would finish the operation before the next one issues. The
+    /// generator then performs it itself through the DMI grant — which
+    /// admits it only when no other process can act during the access —
+    /// and waits only the rest of the overhead. Both write one shared
+    /// outcome in operation order, so counts and the order of failing
+    /// addresses are the queue's. A declined access leaves no trace and
+    /// goes through the queue.
     async fn run_posted(&self, plan: &MemoryTestPlan) -> TestOutcome {
         let start = self.handle.now();
+        let out = Rc::new(RefCell::new(TestOutcome::begin(&plan.name, start)));
         let queue: tve_sim::Fifo<Option<MemOp>> =
             tve_sim::Fifo::new(&self.handle, plan.posted_depth);
+        let parked = Rc::new(Cell::new(false));
         let consumer = {
             let queue = queue.clone();
             let plan = plan.clone();
             let this = self.clone();
+            let out = Rc::clone(&out);
+            let parked = Rc::clone(&parked);
             self.handle.spawn(async move {
-                let mut out = TestOutcome::begin(&plan.name, this.handle.now());
                 loop {
                     // Uncontended fast path: skip the suspension future
                     // when an item is already queued.
                     let next = match queue.try_pop() {
                         Some(v) => v,
-                        None => queue.pop().await,
+                        None => {
+                            parked.set(true);
+                            let v = queue.pop().await;
+                            parked.set(false);
+                            v
+                        }
                     };
-                    let Some(MemOp {
-                        addr,
-                        write,
-                        expect,
-                    }) = next
-                    else {
+                    let Some(op) = next else {
                         break;
                     };
-                    if let Some(v) = write {
-                        this.bus_write(&plan, &mut out, addr, v).await;
-                    } else {
-                        this.bus_read(&plan, &mut out, addr, expect.unwrap_or(0))
-                            .await;
-                    }
+                    this.bus_op(&plan, &out, op).await;
                 }
-                out
             })
         };
+        let inline = self.dmi_window(plan).filter(|w| {
+            !self.handle.lt_active()
+                && w.access_time() > Duration::ZERO
+                && w.access_time() < plan.op_overhead
+        });
+        // Time the previous operation already spent in the inline lane.
+        let mut spent = Duration::ZERO;
         for op in plan.ops() {
-            if !self.handle.try_local_wait(plan.op_overhead) {
-                self.handle.wait(plan.op_overhead).await;
+            self.overhead(plan.op_overhead - spent).await;
+            spent = Duration::ZERO;
+            if let Some(w) = &inline {
+                if parked.get() && queue.is_empty() && dmi_op(w.as_ref(), plan, &out, op) {
+                    spent = w.access_time();
+                    continue;
+                }
             }
             if let Err(v) = queue.try_push(Some(op)) {
                 queue.push(v).await;
             }
         }
         queue.push(None).await;
-        let mut out = consumer.await;
+        consumer.await;
+        let mut out = out.borrow().clone();
         out.start = start;
         out.end = self.handle.now();
         out
     }
 }
 
-/// One memory-test operation.
+/// Performs `op` over a DMI grant and books it in `out`; `false`, with no
+/// trace, when the grant declines. The bookkeeping mirrors
+/// [`TestController::bus_op`] exactly; a granted access cannot fail, so
+/// the error counter has no DMI arm.
+fn dmi_op(
+    window: &dyn DmiAccess,
+    plan: &MemoryTestPlan,
+    out: &RefCell<TestOutcome>,
+    op: MemOp,
+) -> bool {
+    let addr = plan.base_addr + op.addr;
+    let volume = plan.policy == DataPolicy::Volume;
+    match op.write {
+        Some(value) => {
+            // Volume mode carries no data: the transactional path writes
+            // zeroes through `is_volume_only`, so mirror that here.
+            if !window.dmi_write(addr, if volume { 0 } else { value }) {
+                return false;
+            }
+            let mut out = out.borrow_mut();
+            out.patterns += 1;
+            out.stimulus_bits += 32;
+        }
+        None => {
+            let Some(word) = window.dmi_read(addr) else {
+                return false;
+            };
+            book_read(&mut out.borrow_mut(), Ok((!volume).then_some(word)), op);
+        }
+    }
+    true
+}
+
+/// Books one completed read: `Ok(Some(word))` is compared against the
+/// expected value, `Ok(None)` is a volume-only read, `Err` a transport
+/// error.
+fn book_read(out: &mut TestOutcome, word: Result<Option<u32>, TamError>, op: MemOp) {
+    out.patterns += 1;
+    out.response_bits += 32;
+    match word {
+        Ok(Some(word)) if word != op.expect => {
+            out.mismatches += 1;
+            if out.failing_addresses.len() < 32 && !out.failing_addresses.contains(&op.addr) {
+                out.failing_addresses.push(op.addr);
+            }
+        }
+        Ok(_) => {}
+        Err(_) => out.errors += 1,
+    }
+}
+
+/// One memory-test operation: a write of `write`, or (when `write` is
+/// `None`) a read expecting `expect`.
 #[derive(Debug, Clone, Copy)]
 struct MemOp {
     addr: u32,
     write: Option<u32>,
-    expect: Option<u32>,
+    expect: u32,
 }
 
 impl MemoryTestPlan {
@@ -371,22 +358,22 @@ impl MemoryTestPlan {
                     MarchOp::W0 => MemOp {
                         addr,
                         write: Some(0),
-                        expect: None,
+                        expect: 0,
                     },
                     MarchOp::W1 => MemOp {
                         addr,
                         write: Some(u32::MAX),
-                        expect: None,
+                        expect: 0,
                     },
                     MarchOp::R0 => MemOp {
                         addr,
                         write: None,
-                        expect: Some(0),
+                        expect: 0,
                     },
                     MarchOp::R1 => MemOp {
                         addr,
                         write: None,
-                        expect: Some(u32::MAX),
+                        expect: u32::MAX,
                     },
                 })
             })
@@ -396,12 +383,12 @@ impl MemoryTestPlan {
             let writes = (0..n).map(move |addr| MemOp {
                 addr,
                 write: Some(p.background(addr)),
-                expect: None,
+                expect: 0,
             });
             let reads = (0..n).map(move |addr| MemOp {
                 addr,
                 write: None,
-                expect: Some(p.background(addr)),
+                expect: p.background(addr),
             });
             writes.chain(reads)
         });

@@ -644,6 +644,10 @@ impl DmiAccess for WrapperDmi {
         self.wrapper.bump(|s| s.forwarded += 1);
         true
     }
+
+    fn access_time(&self) -> Duration {
+        self.inner.access_time()
+    }
 }
 
 impl ConfigClient for TestWrapper {

@@ -198,6 +198,11 @@ impl TaskArena {
         self.ready_tail = id.index;
     }
 
+    /// Whether no task is queued to run.
+    pub(crate) fn ready_is_empty(&self) -> bool {
+        self.ready_head == NIL
+    }
+
     /// Pops the next runnable task, skipping (and freeing) slots whose
     /// task completed while still queued.
     pub(crate) fn pop_ready(&mut self) -> Option<TaskId> {

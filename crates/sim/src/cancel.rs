@@ -6,7 +6,10 @@
 //! boundary — each `advance` to the next distinct timestamp, which in
 //! loosely-timed mode is also every quantum sync point — so a cancelled
 //! simulation stops at a deterministic, well-defined point instead of
-//! mid-poll.
+//! mid-poll. The accurate-mode lone-runner advance, which lets a task
+//! move time forward without returning to the run loop, declines once
+//! the token is tripped, so even a task that never suspends reaches that
+//! check.
 //!
 //! Cancellation is delivered by unwinding with the [`Cancelled`] payload
 //! via [`std::panic::panic_any`]. The kernel's existing panic path retires

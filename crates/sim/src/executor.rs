@@ -19,6 +19,13 @@
 //! quantum boundaries, the TLM-2.0 trade of timing fidelity for speed.
 //! The default (quantum 0) mode is cycle-accurate and byte-identical to
 //! the pre-arena kernel (see `tests/kernel_digests.rs`).
+//!
+//! Accurate mode has one fast path of its own, the *lone-runner advance*
+//! (`Kernel::lone_advance`): a timed wait whose end no other process
+//! can act before moves `now` forward in place instead of suspending.
+//! The wait still counts as a fired timer, so every observable — time,
+//! wake order, [`Simulation::kernel_stats`]'s timer count — is the one
+//! the event-driven path produces; only task polls drop.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -101,6 +108,10 @@ pub(crate) struct Kernel {
     /// Pending timers bucketed by absolute firing time; within a bucket,
     /// entries fire in scheduling order (the old `(time, seq)` order).
     timers: RefCell<BTreeMap<u64, Vec<TimerFire>>>,
+    /// The earliest key of `timers` (`u64::MAX` when empty), kept
+    /// exact by `schedule` and `advance` so neither the lone-runner
+    /// check nor `advance` walks the map to find it.
+    earliest: Cell<u64>,
     /// Recycled bucket storage, so steady-state scheduling does not
     /// allocate a fresh `Vec` per distinct timestamp.
     bucket_pool: RefCell<Vec<Vec<TimerFire>>>,
@@ -119,6 +130,9 @@ pub(crate) struct Kernel {
     ext: Arc<ExtQueue>,
     /// Loosely-timed quantum in cycles; 0 = cycle-accurate mode.
     quantum: Cell<u64>,
+    /// Horizon of the active [`Simulation::run_until`] call: no lone
+    /// advance may carry `now` past it.
+    horizon: Cell<u64>,
     /// Testing knob: max timers fired per batch before re-entering the
     /// poll loop (`usize::MAX` = drain whole bucket).
     batch_limit: Cell<usize>,
@@ -136,6 +150,7 @@ impl Kernel {
             timers_fired: Cell::new(0),
             sync_points: Cell::new(0),
             timers: RefCell::new(BTreeMap::new()),
+            earliest: Cell::new(u64::MAX),
             bucket_pool: RefCell::new(Vec::new()),
             arena: RefCell::new(TaskArena::new()),
             current: Cell::new(NO_TASK),
@@ -146,6 +161,7 @@ impl Kernel {
                 queue: Mutex::new(Vec::new()),
             }),
             quantum: Cell::new(0),
+            horizon: Cell::new(0),
             batch_limit: Cell::new(usize::MAX),
             cancel: crate::cancel::current_token(),
         })
@@ -191,11 +207,52 @@ impl Kernel {
         }
     }
 
+    /// The lone-runner advance: in accurate mode, moves `now` to
+    /// `deadline` in place — the polled task's timed wait completes
+    /// without suspending — when the kernel can prove no other process
+    /// acts before then. The five proof obligations:
+    ///
+    /// 1. a task is being polled (so it, and only it, is running);
+    /// 2. nothing else is runnable: the ready queue is empty, no spawn is
+    ///    pending and no external `Waker` wake is pending;
+    /// 3. the earliest pending timer is *strictly* after `deadline` (a
+    ///    timer at `deadline` itself fires first on the event path);
+    /// 4. `deadline` is not past the active `run_until` horizon;
+    /// 5. the cancel token is not tripped, so the run loop raises
+    ///    [`crate::Cancelled`] exactly where it does without the advance.
+    ///
+    /// The advance counts as one fired timer, as the event path would.
+    /// Returns whether it advanced; on `false` nothing changed.
+    #[inline]
+    pub(crate) fn lone_advance(&self, deadline: u64) -> bool {
+        // On a busy kernel another timer is nearly always due first:
+        // test that before anything that needs a borrow.
+        if deadline >= self.earliest.get()
+            || deadline <= self.now.get()
+            || self.quantum.get() != 0
+            || deadline > self.horizon.get()
+            || self.current.get() == NO_TASK
+            || !self.arena.borrow().ready_is_empty()
+            || !self.pending_spawn.borrow().is_empty()
+            || self.ext.nonempty.load(Ordering::Acquire)
+            || self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
+        {
+            return false;
+        }
+        self.now.set(deadline);
+        self.timers_fired.set(self.timers_fired.get() + 1);
+        true
+    }
+
     /// One-pass fits-and-absorb for [`SimHandle::try_local_wait`]: checks
-    /// and consumes the offset in a single walk over the cells.
+    /// and consumes the offset in a single walk over the cells. In
+    /// accurate mode it is the lone-runner advance instead.
     pub(crate) fn absorb_local(&self, d: u64) -> bool {
         let q = self.quantum.get();
-        if q == 0 || d == 0 || self.current.get() == NO_TASK {
+        if q == 0 {
+            return self.lone_advance(self.now.get().saturating_add(d));
+        }
+        if d == 0 || self.current.get() == NO_TASK {
             return false;
         }
         let off = self.current_off.get().saturating_add(d);
@@ -209,6 +266,9 @@ impl Kernel {
     /// Schedules `fire` at absolute cycle `time` (clamped to now).
     pub(crate) fn schedule(&self, time: u64, fire: TimerFire) {
         let time = time.max(self.now.get());
+        if time < self.earliest.get() {
+            self.earliest.set(time);
+        }
         let mut timers = self.timers.borrow_mut();
         timers
             .entry(time)
@@ -330,10 +390,10 @@ impl Kernel {
     /// and fires every timer scheduled for that instant in one batch.
     /// Returns `false` when no eligible timer exists.
     fn advance(&self, horizon: u64) -> bool {
-        let next = match self.timers.borrow().keys().next() {
-            Some(&t) => t,
-            None => return false,
-        };
+        if self.timers.borrow().is_empty() {
+            return false;
+        }
+        let next = self.earliest.get();
         if next > horizon {
             return false;
         }
@@ -371,6 +431,8 @@ impl Kernel {
                 break;
             }
         }
+        let earliest = self.timers.borrow().keys().next().copied();
+        self.earliest.set(earliest.unwrap_or(u64::MAX));
         true
     }
 
@@ -420,6 +482,11 @@ impl SimHandle {
     /// *without suspending* until the offset reaches the quantum; only
     /// then does the task synchronize with the global event queue. Zero
     /// waits always yield, so delta-cycle cooperation keeps working.
+    ///
+    /// In accurate mode a nonzero wait completes in place, on its first
+    /// poll, when the task is provably alone until its end (the
+    /// lone-runner advance, see the module docs); every observable is
+    /// the one the suspension would produce.
     pub fn wait(&self, d: Duration) -> Wait {
         let k = &self.kernel;
         let q = k.quantum();
@@ -482,31 +549,43 @@ impl SimHandle {
         q > 0 && d > 0 && k.current_task().is_some() && k.current_offset().saturating_add(d) < q
     }
 
-    /// Absorbs `d` into the calling task's local-time offset without
-    /// suspending, if it fits ([`SimHandle::local_wait_fits`]); returns
+    /// Completes a wait of `d` without suspending, if possible; returns
     /// whether it did. On `false` nothing happened — take the ordinary
     /// `wait(d).await` path instead.
+    ///
+    /// In loosely-timed mode `d` is absorbed into the calling task's
+    /// local-time offset when it fits ([`SimHandle::local_wait_fits`]).
+    /// In accurate mode it is the lone-runner advance: global time moves
+    /// by `d` in place when no other process can act before then, and
+    /// the wait counts as a fired timer.
     pub fn try_local_wait(&self, d: Duration) -> bool {
         self.kernel.absorb_local(d.as_cycles())
     }
 
-    /// Whether loosely-timed quantum mode is active — the cheapest
-    /// possible "could a local wait ever fit" gate, for hot paths that
-    /// want to decline early in accurate mode before computing a
-    /// duration at all.
+    /// Whether loosely-timed quantum mode is active. Fast paths whose
+    /// bookkeeping differs between the modes (where a transfer's busy
+    /// interval starts, which lanes exist) branch on it.
     pub fn lt_active(&self) -> bool {
         self.kernel.quantum() != 0
     }
 
-    /// Gives back `d` cycles just absorbed with
-    /// [`SimHandle::try_local_wait`], restoring the task's local-time
-    /// offset. For all-or-nothing composition of synchronous fast paths:
-    /// a channel may absorb its occupancy before probing a downstream
-    /// component, then refund it if that component declines. Only valid
-    /// with no intervening waits by the same task.
+    /// Gives back `d` cycles just consumed by a successful
+    /// [`SimHandle::try_local_wait`]: restores the task's local-time
+    /// offset, or in accurate mode rewinds global time and the fired-timer
+    /// count of the lone-runner advance. For all-or-nothing composition
+    /// of synchronous fast paths: a channel may consume its occupancy
+    /// before probing a downstream component, then refund it if that
+    /// component declines. Only valid with no intervening waits by the
+    /// same task.
     pub fn local_wait_undo(&self, d: Duration) {
         let k = &self.kernel;
-        if k.current.get() != NO_TASK {
+        if k.current.get() == NO_TASK {
+            return;
+        }
+        if k.quantum() == 0 {
+            k.now.set(k.now.get().saturating_sub(d.as_cycles()));
+            k.timers_fired.set(k.timers_fired.get() - 1);
+        } else {
             k.current_off
                 .set(k.current_off.get().saturating_sub(d.as_cycles()));
         }
@@ -607,6 +686,10 @@ impl Future for Wait {
                 }
             }
             WaitState::Init => {
+                if self.kernel.lone_advance(self.deadline) {
+                    self.state = WaitState::Elapsed;
+                    return Poll::Ready(());
+                }
                 self.state = WaitState::Registered;
                 let fire = match self.kernel.current_task() {
                     Some(id) => TimerFire::Task(id.pack()),
@@ -834,6 +917,7 @@ impl Simulation {
     /// When stopping at the horizon, time is advanced to exactly `horizon`
     /// (unless `horizon` is [`Time::MAX`], which is treated as "no limit").
     pub fn run_until(&mut self, horizon: Time) -> Time {
+        self.kernel.horizon.set(horizon.cycles());
         loop {
             self.kernel.check_cancelled();
             self.kernel.drain_ready();
@@ -1176,6 +1260,133 @@ mod tests {
             (end, v)
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn timer_at_the_wait_end_forces_the_event_path() {
+        // The second task's wait ends exactly where the first one's timer
+        // fires: it must suspend, so the first task's earlier-scheduled
+        // timer still wakes first.
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log: Rc<RefCell<Vec<(u64, &str)>>> = Rc::new(RefCell::new(Vec::new()));
+        for name in ["first", "second"] {
+            let h = h.clone();
+            let log = Rc::clone(&log);
+            sim.spawn(async move {
+                h.wait(Duration::cycles(10)).await;
+                log.borrow_mut().push((h.now().cycles(), name));
+            });
+        }
+        sim.run();
+        assert_eq!(*log.borrow(), vec![(10, "first"), (10, "second")]);
+        assert_eq!(sim.kernel_stats(), (4, 2), "both waits suspended");
+    }
+
+    #[test]
+    fn run_until_stops_a_lone_waiter_at_the_horizon() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let ticks = Rc::new(Cell::new(0u64));
+        let t2 = Rc::clone(&ticks);
+        sim.spawn(async move {
+            loop {
+                h.wait(Duration::cycles(1)).await;
+                t2.set(t2.get() + 1);
+            }
+        });
+        assert_eq!(sim.run_until(Time::from_cycles(50)), Time::from_cycles(50));
+        assert_eq!(ticks.get(), 50);
+        assert_eq!(sim.live_tasks(), 1, "the waiter is still pending");
+        assert_eq!(sim.run_for(Duration::cycles(25)), Time::from_cycles(75));
+        assert_eq!(ticks.get(), 75);
+    }
+
+    #[test]
+    fn tripped_token_unwinds_an_endless_lone_task() {
+        let token = crate::CancelToken::new();
+        let result = std::panic::catch_unwind(|| {
+            crate::with_cancel_token(&token, || {
+                let mut sim = Simulation::new();
+                let h = sim.handle();
+                let token = Arc::clone(&token);
+                sim.spawn(async move {
+                    for tick in 0u64.. {
+                        if tick == 1000 {
+                            token.cancel();
+                        }
+                        h.wait(Duration::cycles(1)).await;
+                    }
+                });
+                sim.run();
+            })
+        });
+        let payload = result.expect_err("a tripped token must stop the run");
+        assert!(payload.is::<crate::Cancelled>());
+    }
+
+    #[test]
+    fn wake_or_spawn_earlier_in_the_poll_blocks_the_advance() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log: Rc<RefCell<Vec<(u64, &str)>>> = Rc::new(RefCell::new(Vec::new()));
+        let ev = crate::Event::new(&h);
+        {
+            let ev = ev.clone();
+            let log = Rc::clone(&log);
+            let h = h.clone();
+            sim.spawn(async move {
+                ev.wait().await;
+                log.borrow_mut().push((h.now().cycles(), "woken"));
+            });
+        }
+        {
+            let log = Rc::clone(&log);
+            let h = h.clone();
+            sim.spawn(async move {
+                h.wait(Duration::cycles(1)).await;
+                ev.notify();
+                h.wait(Duration::cycles(5)).await;
+                log.borrow_mut().push((h.now().cycles(), "notifier"));
+                let (h2, log2) = (h.clone(), Rc::clone(&log));
+                h.spawn(async move {
+                    log2.borrow_mut().push((h2.now().cycles(), "spawned"));
+                });
+                h.wait(Duration::cycles(5)).await;
+                log.borrow_mut().push((h.now().cycles(), "spawner"));
+            });
+        }
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                (1, "woken"),
+                (6, "notifier"),
+                (6, "spawned"),
+                (11, "spawner")
+            ]
+        );
+    }
+
+    #[test]
+    fn lone_advances_count_as_timed_waits_and_undo_rewinds_them() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        assert!(!h.try_local_wait(Duration::cycles(3)), "outside a task");
+        let h2 = h.clone();
+        let jh = sim.spawn(async move {
+            for _ in 0..10 {
+                h2.wait(Duration::cycles(3)).await;
+            }
+            assert!(h2.try_local_wait(Duration::cycles(7)));
+            assert_eq!(h2.now(), Time::from_cycles(37));
+            h2.local_wait_undo(Duration::cycles(7));
+            h2.now()
+        });
+        sim.run();
+        assert_eq!(jh.try_take(), Some(Time::from_cycles(30)));
+        assert_eq!(sim.now(), Time::from_cycles(30));
+        assert_eq!(sim.kernel_stats(), (1, 10), "one poll, ten timed waits");
     }
 
     #[test]

@@ -545,8 +545,8 @@ impl JpegEncoderSoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tve_sim::Simulation;
-    use tve_tlm::TamIfExt;
+    use tve_sim::{Simulation, Time};
+    use tve_tlm::{Command, TamIfExt};
 
     #[test]
     fn soc_builds_with_paper_and_small_configs() {
@@ -602,26 +602,121 @@ mod tests {
         assert_eq!(soc.mem_wrapper.stats().forwarded, 2);
     }
 
+    /// The monitor figures a grant must reproduce exactly.
+    fn monitor_record(bus: &BusTam) -> (u64, u64, u64, Time, Vec<(u64, u64)>) {
+        let m = bus.monitor();
+        (
+            m.transfer_count(),
+            m.total_busy_cycles(),
+            m.busy_cycles_of(initiators::PROCESSOR),
+            m.last_activity_end(),
+            m.window_busy().collect(),
+        )
+    }
+
     #[test]
-    fn dmi_is_never_granted_in_accurate_mode_paths() {
-        // In cycle-accurate mode `run_blocking` never even requests a
-        // window (`lt_active` is false); the grant itself is still legal
-        // but every access declines because no quantum budget exists.
+    fn accurate_mode_dmi_grants_only_when_alone() {
+        // Reference: a write and a read through the event-driven
+        // transactional path, kept off every fast path by a task that
+        // is due every cycle until the accesses are done.
+        let mut sim = Simulation::new();
+        let soc = JpegEncoderSoc::build(&sim.handle(), SocConfig::small());
+        let bus = Rc::clone(&soc.bus);
+        let h = sim.handle();
+        let done = Rc::new(std::cell::Cell::new(false));
+        let finished = Rc::clone(&done);
+        let jh = sim.spawn(async move {
+            bus.write(initiators::PROCESSOR, MEM_BASE + 3, &[0xBEEF], 32)
+                .await
+                .unwrap();
+            let word = bus.read(initiators::PROCESSOR, MEM_BASE + 3, 32).await;
+            finished.set(true);
+            (word.unwrap(), h.now())
+        });
+        let h = sim.handle();
+        sim.spawn(async move {
+            while !done.get() {
+                h.wait(Duration::cycles(1)).await;
+            }
+        });
+        sim.run();
+        let (word, elapsed) = jh.try_take().expect("reference ran");
+        assert_eq!(word, vec![0xBEEF]);
+        let reference = monitor_record(&soc.bus);
+        let occupancy = soc.bus.occupancy_of(32);
+        assert_eq!(elapsed.cycles(), 2 * occupancy.as_cycles());
+
+        // A lone task: both accesses grant, with the same time and record.
         let mut sim = Simulation::new();
         let soc = JpegEncoderSoc::build(&sim.handle(), SocConfig::small());
         let words = soc.config.memory_words;
-        let bus = Rc::clone(&soc.bus);
+        let window = Rc::clone(&soc.bus)
+            .dmi_window(MEM_BASE, words, initiators::PROCESSOR)
+            .expect("functional-mode memory window grants DMI");
+        assert_eq!(window.access_time(), occupancy);
+        let h = sim.handle();
+        let w = Rc::clone(&window);
         let jh = sim.spawn(async move {
-            let window = Rc::clone(&bus)
-                .dmi_window(MEM_BASE, words, initiators::PROCESSOR)
-                .expect("the grant chain itself is mode-independent");
-            assert!(!window.dmi_write(MEM_BASE, 1));
-            assert_eq!(window.dmi_read(MEM_BASE), None);
+            assert!(w.dmi_write(MEM_BASE + 3, 0xBEEF));
+            (w.dmi_read(MEM_BASE + 3), h.now())
         });
         sim.run();
-        jh.try_take().expect("task ran to completion");
-        let (reads, writes) = soc.memory.op_counts();
-        assert_eq!((reads, writes), (0, 0), "declined accesses leave no trace");
+        assert_eq!(jh.try_take(), Some((Some(0xBEEF), elapsed)));
+        assert_eq!(monitor_record(&soc.bus), reference);
+        assert_eq!(soc.memory.op_counts(), (1, 1));
+        assert_eq!(sim.kernel_stats().1, 2, "each access is one timed wait");
+
+        // Outside a task nothing may advance time.
+        assert!(!window.dmi_write(MEM_BASE, 1));
+        assert_eq!(window.dmi_read(MEM_BASE), None);
+        assert_eq!(soc.memory.op_counts(), (1, 1));
+        assert_eq!(sim.now(), elapsed);
+        assert_eq!(monitor_record(&soc.bus), reference);
+
+        // Declines leave no trace: no memory op, no time, no record.
+        let declines = |setup: &dyn Fn(&JpegEncoderSoc, &mut Simulation)| {
+            let mut sim = Simulation::new();
+            let soc = JpegEncoderSoc::build(&sim.handle(), SocConfig::small());
+            setup(&soc, &mut sim);
+            let window = Rc::clone(&soc.bus)
+                .dmi_window(MEM_BASE, words, initiators::PROCESSOR)
+                .unwrap();
+            let h = sim.handle();
+            let jh = sim.spawn(async move {
+                let t = h.now();
+                let wrote = window.dmi_write(MEM_BASE, 1);
+                let read = window.dmi_read(MEM_BASE);
+                (wrote, read, h.now() - t)
+            });
+            sim.run();
+            assert_eq!(jh.try_take(), Some((false, None, Duration::ZERO)));
+            assert_eq!(soc.memory.op_counts(), (0, 0));
+            let processor = soc.bus.monitor().busy_cycles_of(initiators::PROCESSOR);
+            assert_eq!(processor, 0);
+        };
+        // Another task's timer inside the access window, or at its end
+        // (that timer fires first on the event path).
+        for at in [1, occupancy.as_cycles()] {
+            declines(&|_, sim| {
+                let h = sim.handle();
+                sim.spawn(async move { h.wait(Duration::cycles(at)).await });
+            });
+        }
+        // The arbiter is busy with another initiator's long transfer,
+        // which itself ends well after the access window (to an unmapped
+        // address, so it leaves the memory counters alone).
+        declines(&|soc, sim| {
+            let bus = Rc::clone(&soc.bus);
+            // Polled first, while the access task is ready: the transfer
+            // cannot complete in place, so it holds the arbiter.
+            sim.spawn(async move {
+                let unmapped = u32::MAX - 1;
+                let sent = bus
+                    .transfer_volume(initiators::ATE, Command::Write, unmapped, 32 * 64)
+                    .await;
+                assert!(sent.is_err());
+            });
+        });
     }
 
     #[test]

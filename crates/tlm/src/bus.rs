@@ -11,7 +11,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use tve_obs::{Counter, Recorder, SpanKind, SpanRecord};
-use tve_sim::{Duration, SimHandle};
+use tve_sim::{Duration, SimHandle, Time};
 
 use crate::arbiter::{Arbiter, ArbiterPolicy};
 use crate::monitor::UtilizationMonitor;
@@ -278,7 +278,7 @@ impl BusTam {
 
     /// Marks the channel as observed (idle) up to `t`; see
     /// [`UtilizationMonitor::observe_until`].
-    pub fn observe_monitor_until(&self, t: tve_sim::Time) {
+    pub fn observe_monitor_until(&self, t: Time) {
         self.monitor.borrow_mut().observe_until(t);
     }
 
@@ -306,7 +306,7 @@ impl BusTam {
     /// line so the common (uninstrumented) transfer never touches the
     /// two `Option` cells.
     #[cold]
-    fn record_instrumentation(&self, txn: &Transaction, start: tve_sim::Time, dur: Duration) {
+    fn record_instrumentation(&self, txn: &Transaction, start: Time, dur: Duration) {
         if let Some((meter, p)) = &*self.power.borrow() {
             meter.borrow_mut().record(start, dur, *p, &self.cfg.name);
         }
@@ -341,6 +341,24 @@ impl BusTam {
         Some(i)
     }
 
+    /// Waits out a transfer's occupancy `dur` without suspending, if the
+    /// kernel allows it ([`SimHandle::try_local_wait`]), and returns when
+    /// the busy interval starts. Accurate mode books it at the
+    /// pre-advance time, exactly where [`TamIf::transport`] does;
+    /// loosely-timed mode keeps its post-absorb booking (pinned by the
+    /// quantum digests).
+    fn consume_occupancy(&self, dur: Duration) -> Option<Time> {
+        let before = self.handle.now();
+        if !self.handle.try_local_wait(dur) {
+            return None;
+        }
+        Some(if self.handle.lt_active() {
+            self.handle.now()
+        } else {
+            before
+        })
+    }
+
     fn lookup(&self, addr: u32) -> Option<Rc<dyn TamIf>> {
         let targets = self.targets.borrow();
         self.route_index(&targets, addr)
@@ -350,9 +368,10 @@ impl BusTam {
 
 /// A [`DmiAccess`] grant through a [`BusTam`]: each word access gates and
 /// books the channel exactly like a single-word
-/// [`TamIf::transport_sync_try`] — arbitration-idle check, quantum-budget
-/// absorption of the 32-bit occupancy, utilization-monitor busy record —
-/// then delegates the data movement to the routed target's own grant.
+/// [`TamIf::transport_sync_try`] — arbitration-idle check, a wait of the
+/// 32-bit occupancy that completes without suspending, utilization-monitor
+/// busy record — then delegates the data movement to the routed target's
+/// own grant.
 struct BusDmi {
     bus: Rc<BusTam>,
     inner: Rc<dyn DmiAccess>,
@@ -362,32 +381,26 @@ struct BusDmi {
 }
 
 impl BusDmi {
-    /// The gates of `transport_sync_try` up to and including absorbing
-    /// the channel occupancy into the local quantum budget. On `true`
-    /// the occupancy has been consumed; a subsequent inner decline must
-    /// refund it with `local_wait_undo`.
-    fn channel_admit(&self) -> bool {
-        if !self.bus.handle.lt_active() {
-            return false;
-        }
+    /// The gates of `transport_sync_try` up to and including consuming
+    /// the channel occupancy without suspending. On `Some` the occupancy
+    /// has been consumed and the busy interval starts at the returned
+    /// time; a subsequent inner decline must refund it with
+    /// `local_wait_undo`.
+    fn channel_admit(&self) -> Option<Time> {
         // Instrumentation (power meter, span recorder) is recorded on
         // the transactional path only; decline so the fallback keeps
         // those records exact.
-        if self.bus.instrumented.get() {
-            return false;
+        if self.bus.instrumented.get() || !self.bus.arbiter.is_idle() {
+            return None;
         }
-        if !self.bus.arbiter.is_idle() {
-            return false;
-        }
-        self.bus.handle.try_local_wait(self.occupancy)
+        self.bus.consume_occupancy(self.occupancy)
     }
 
     /// The channel-side bookkeeping of a completed access, in the same
     /// order as `transport_sync_try`: acquire, record busy, release.
-    fn channel_commit(&self) {
+    fn channel_commit(&self, start: Time) {
         let granted = self.bus.arbiter.try_acquire(self.initiator);
         debug_assert!(granted, "DMI access raced the arbiter");
-        let start = self.bus.handle.now();
         self.bus
             .monitor
             .borrow_mut()
@@ -398,12 +411,10 @@ impl BusDmi {
 
 impl DmiAccess for BusDmi {
     fn dmi_read(&self, addr: u32) -> Option<u32> {
-        if !self.channel_admit() {
-            return None;
-        }
+        let start = self.channel_admit()?;
         match self.inner.dmi_read(addr) {
             Some(word) => {
-                self.channel_commit();
+                self.channel_commit(start);
                 Some(word)
             }
             None => {
@@ -414,15 +425,19 @@ impl DmiAccess for BusDmi {
     }
 
     fn dmi_write(&self, addr: u32, value: u32) -> bool {
-        if !self.channel_admit() {
+        let Some(start) = self.channel_admit() else {
             return false;
-        }
+        };
         if !self.inner.dmi_write(addr, value) {
             self.bus.handle.local_wait_undo(self.occupancy);
             return false;
         }
-        self.channel_commit();
+        self.channel_commit(start);
         true
+    }
+
+    fn access_time(&self) -> Duration {
+        self.occupancy + self.inner.access_time()
     }
 }
 
@@ -549,9 +564,13 @@ impl TamIf for BusTam {
     /// first so a decline leaves no trace on this channel; synchronous
     /// targets never consume channel time, so the reordering is not
     /// observable in the monitor or the local quantum budget.
+    ///
+    /// In accurate mode the path needs the lone-runner advance to take
+    /// the occupancy without suspending, and declines on instrumented
+    /// channels: the power meter's floating-point sums depend on the
+    /// transactional record order (channel before target).
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        // Cheapest gate first: always declines in accurate mode.
-        if !self.handle.lt_active() {
+        if self.instrumented.get() && !self.handle.lt_active() {
             return false;
         }
         // Burst segmentation re-arbitrates between chunks; keep that on
@@ -566,25 +585,22 @@ impl TamIf for BusTam {
         if !self.arbiter.is_idle() {
             return false;
         }
-        // Fused fits-and-consume: one kernel touch instead of a fits
-        // check up front plus a consuming call after the gates.
         let dur = self.occupancy_of(txn.bit_len);
-        if !self.handle.try_local_wait(dur) {
+        let Some(start) = self.consume_occupancy(dur) else {
             return false;
-        }
+        };
         let targets = self.targets.borrow();
         let routed = self.route_index(&targets, txn.addr);
         if let Some(i) = routed {
             if !targets[i].1.transport_sync_try(txn) {
                 // Rare: the routed component declined after the channel
-                // time was absorbed; refund it (all-or-nothing).
+                // time was consumed; refund it (all-or-nothing).
                 self.handle.local_wait_undo(dur);
                 return false;
             }
         }
         let granted = self.arbiter.try_acquire(txn.initiator);
         debug_assert!(granted, "transport_sync_try raced the arbiter");
-        let start = self.handle.now();
         self.monitor
             .borrow_mut()
             .record_busy(start, dur, txn.initiator);

@@ -5,6 +5,8 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
+use tve_sim::Duration;
+
 use crate::payload::{Command, InitiatorId, ResponseStatus, Transaction};
 
 /// A non-`Send` boxed future, the return type of object-safe async trait
@@ -59,9 +61,9 @@ pub trait TamIf {
     /// ([`tve_sim::SimHandle::local_wait_fits`]) and no arbitration or
     /// back-pressure would block, the whole transaction — channel, routing,
     /// target — runs as one synchronous call with no future allocation. In
-    /// the default accurate mode this is always `false`, so the event-driven
-    /// path (and its digests) is untouched. Components opt in; the default
-    /// declines.
+    /// the default accurate mode a channel always answers `false` here
+    /// (its accurate-mode fast path is [`TamIf::transport_sync_try`]).
+    /// Components opt in; the default declines.
     fn transport_is_sync(&self, txn: &Transaction) -> bool {
         let _ = txn;
         false
@@ -86,7 +88,11 @@ pub trait TamIf {
     /// The default composes the two-step check-then-do pair. Channels
     /// override it to fuse the gate checks with the transfer — one
     /// route lookup, one arbiter touch — because at memory-test op
-    /// rates the duplicate walk is measurable.
+    /// rates the duplicate walk is measurable. A channel's override also
+    /// serves the accurate mode: there its occupancy completes in place
+    /// only when the calling task is alone until the transfer ends
+    /// ([`tve_sim::SimHandle::try_local_wait`]), so the result is the
+    /// event-driven one.
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
         if self.transport_is_sync(txn) {
             self.transport_sync(txn);
@@ -98,8 +104,8 @@ pub trait TamIf {
 
     /// Requests a direct-memory-interface grant over the word window
     /// `[base, base + words)` for single-word (32-bit) accesses by
-    /// `initiator` — the TLM-2.0 DMI idea applied to loosely-timed
-    /// memory marches: the initiator keeps the returned [`DmiAccess`]
+    /// `initiator` — the TLM-2.0 DMI idea applied to memory marches:
+    /// the initiator keeps the returned [`DmiAccess`]
     /// and performs each word access as one call, skipping transaction
     /// construction and the per-op interface walk.
     ///
@@ -130,7 +136,8 @@ pub trait TamIf {
 ///
 /// Both operations are *fallible per call*: a `None` / `false` return
 /// declines the single operation (revoked grant after a WIR load, bus
-/// contention, exhausted quantum budget, instrumentation attached) with
+/// contention, exhausted quantum budget, another process due to act
+/// within the access in accurate mode, instrumentation attached) with
 /// no side effects, and the caller must perform that operation through
 /// the regular transactional path instead. A successful call has
 /// exactly the observable effects of the equivalent single-word
@@ -141,6 +148,13 @@ pub trait DmiAccess {
 
     /// Writes the 32-bit word at TAM address `addr`.
     fn dmi_write(&self, addr: u32, value: u32) -> bool;
+
+    /// Simulated time one granted access takes: the channel occupancy
+    /// summed along the grant chain. Zero by default (a leaf memory
+    /// access is instantaneous).
+    fn access_time(&self) -> Duration {
+        Duration::ZERO
+    }
 }
 
 /// Convenience accessors over any [`TamIf`].

@@ -260,6 +260,25 @@ fn overrun_job_is_cancelled_with_typed_deadline_error() {
     daemon.join().expect("daemon joins");
 }
 
+/// Polls `stats` until admission holds exactly `running` jobs in run
+/// slots and `queued` in the queue.
+fn wait_for_admission_depth(socket: &PathBuf, running: u64, queued: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut client = Client::connect(socket).expect("stats connects");
+    loop {
+        let stats = client.stats().expect("stats");
+        let depth = |key| stats.get(key).and_then(JsonValue::as_u64);
+        if depth("running") == Some(running) && depth("queued") == Some(queued) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "admission never reached {running} running / {queued} queued: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn full_queue_sheds_with_retry_hint_and_retry_eventually_succeeds() {
     let daemon = spawn(&ServeOptions {
@@ -268,6 +287,9 @@ fn full_queue_sheds_with_retry_hint_and_retry_eventually_succeeds() {
         quiet: true,
         max_running: 1,
         max_queue: 1,
+        // The first campaign's first cell stalls, so that campaign holds
+        // the run slot however fast the simulation itself is.
+        chaos: "worker-slow@1=2000".to_string(),
         ..ServeOptions::default()
     })
     .expect("daemon spawns");
@@ -283,7 +305,7 @@ fn full_queue_sheds_with_retry_hint_and_retry_eventually_succeeds() {
             client.submit(&campaign_job(0x5EED_0001, None))
         })
     };
-    std::thread::sleep(Duration::from_millis(200));
+    wait_for_admission_depth(&socket, 1, 0);
     let queued = {
         let socket = socket.clone();
         std::thread::spawn(move || {
@@ -291,7 +313,7 @@ fn full_queue_sheds_with_retry_hint_and_retry_eventually_succeeds() {
             client.submit(&campaign_job(0x5EED_0002, None))
         })
     };
-    std::thread::sleep(Duration::from_millis(200));
+    wait_for_admission_depth(&socket, 1, 1);
 
     // Slot busy, queue full: the next submission must be shed with a
     // typed `overloaded` error carrying a back-off hint — and a client
