@@ -10,9 +10,8 @@
 //!    evolves.
 //! 2. **Table I wall-clock** — the four paper schedules with scan
 //!    pattern counts at 1/10 (`--scale 10`) and the full 1 MiB memory
-//!    array, in cycle-accurate mode and in loosely-timed mode
-//!    (`TVE_QUANTUM=100000`), plus the accurate run's kernel activity:
-//!    task polls and fired timed waits, summed over the four schedules.
+//!    array, plus the run's kernel activity: task polls and fired timed
+//!    waits, summed over the four schedules.
 //! 3. **farm throughput** — scenario jobs/sec at 1, 2 and 4 workers on
 //!    the reduced digest-test workload.
 //!
@@ -25,11 +24,8 @@
 //! counts must equal the baseline exactly (they are host-independent: a
 //! fast-path regression shows as a jump in polls on any machine), every
 //! measured wall-clock and rate must be within ±25% of the baseline, and
-//! the arena kernel must reach ≥ 2x legacy events/sec. The
-//! loosely-timed-over-accurate ratio is printed and recorded, not gated:
-//! the accurate mode's lone-runner fast paths make it the faster mode on
-//! this workload. `--quick` shrinks every workload for smoke runs and
-//! skips the gates.
+//! the arena kernel must reach ≥ 2x legacy events/sec. `--quick` shrinks
+//! every workload for smoke runs and skips the gates.
 
 use std::time::Instant;
 
@@ -326,8 +322,8 @@ fn table1_wall(config: &SocConfig, plan: &SocTestPlan) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Kernel activity of one accurate-mode pass over the four paper
-/// schedules: `(task polls, fired timed waits)`, summed.
+/// Kernel activity of one pass over the four paper schedules:
+/// `(task polls, fired timed waits)`, summed.
 fn table1_kernel_stats(config: &SocConfig, plan: &SocTestPlan) -> (u64, u64) {
     let (mut polls, mut waits) = (0, 0);
     for schedule in paper_schedules() {
@@ -349,9 +345,7 @@ struct Snapshot {
     arena_eps: f64,
     legacy_eps: f64,
     scale: u64,
-    quantum: u64,
     accurate_wall: f64,
-    loose_wall: f64,
     accurate_polls: u64,
     accurate_timed_waits: u64,
     farm_jobs: usize,
@@ -362,9 +356,6 @@ impl Snapshot {
     fn arena_speedup(&self) -> f64 {
         self.arena_eps / self.legacy_eps
     }
-    fn loose_speedup(&self) -> f64 {
-        self.accurate_wall / self.loose_wall
-    }
 
     fn to_json(&self) -> String {
         format!(
@@ -373,9 +364,8 @@ impl Snapshot {
              \"arena_events_per_sec\": {:.0},\n    \
              \"legacy_events_per_sec\": {:.0},\n    \
              \"arena_speedup\": {:.3}\n  }},\n  \"table1\": {{\n    \
-             \"scale\": {},\n    \"quantum\": {},\n    \
-             \"accurate_wall_s\": {:.4},\n    \"loose_wall_s\": {:.4},\n    \
-             \"loose_speedup\": {:.3},\n    \"accurate_polls\": {},\n    \
+             \"scale\": {},\n    \"accurate_wall_s\": {:.4},\n    \
+             \"accurate_polls\": {},\n    \
              \"accurate_timed_waits\": {}\n  }},\n  \"farm\": {{\n    \
              \"jobs\": {},\n    \"jobs_per_sec_w1\": {:.3},\n    \
              \"jobs_per_sec_w2\": {:.3},\n    \"jobs_per_sec_w4\": {:.3}\n  }}\n}}\n",
@@ -385,10 +375,7 @@ impl Snapshot {
             self.legacy_eps,
             self.arena_speedup(),
             self.scale,
-            self.quantum,
             self.accurate_wall,
-            self.loose_wall,
-            self.loose_speedup(),
             self.accurate_polls,
             self.accurate_timed_waits,
             self.farm_jobs,
@@ -439,26 +426,19 @@ fn main() {
     let arena_eps = events as f64 / min_wall(reps, || run_arena(tasks, waits));
     let legacy_eps = events as f64 / min_wall(reps, || run_legacy(tasks, waits));
 
-    // --- 2. Table I wall-clock: accurate vs loosely-timed -------------
+    // --- 2. Table I wall-clock ------------------------------------------
     let scale = if quick { 100 } else { 10 };
-    let quantum = 100_000u64;
     let mut workload = Workload::paper().with_scale(scale);
     if quick {
         workload = workload.with_mem_words(2622);
     }
     let (config, plan) = workload.build();
     let t1_reps = if quick { 1 } else { 3 };
-    eprintln!("table1: 4 schedules, scale 1/{scale}, {t1_reps} rep(s) per mode");
-    std::env::remove_var("TVE_QUANTUM");
+    eprintln!("table1: 4 schedules, scale 1/{scale}, {t1_reps} rep(s)");
     let accurate_wall = min_wall(t1_reps, || {
         table1_wall(&config, &plan);
     });
     let (accurate_polls, accurate_timed_waits) = table1_kernel_stats(&config, &plan);
-    std::env::set_var("TVE_QUANTUM", quantum.to_string());
-    let loose_wall = min_wall(t1_reps, || {
-        table1_wall(&config, &plan);
-    });
-    std::env::remove_var("TVE_QUANTUM");
 
     // --- 3. farm throughput at 1/2/4 workers ---------------------------
     let (farm_config, farm_plan) = Workload::bench().build();
@@ -489,9 +469,7 @@ fn main() {
         arena_eps,
         legacy_eps,
         scale,
-        quantum,
         accurate_wall,
-        loose_wall,
         accurate_polls,
         accurate_timed_waits,
         farm_jobs: jobs.len(),
@@ -508,17 +486,11 @@ fn main() {
     );
     println!("                    speedup {:.2}x", snap.arena_speedup());
     println!(
-        "table1 (scan 1/{}, {} memory words): accurate {:.3}s, loose {:.3}s (quantum {}), \
-         loose/accurate speedup {:.2}x",
-        snap.scale,
-        config.memory_words,
-        snap.accurate_wall,
-        snap.loose_wall,
-        snap.quantum,
-        snap.loose_speedup()
+        "table1 (scan 1/{}, {} memory words): {:.3}s",
+        snap.scale, config.memory_words, snap.accurate_wall
     );
     println!(
-        "                    accurate kernel: {} polls, {} timed waits",
+        "                    kernel: {} polls, {} timed waits",
         snap.accurate_polls, snap.accurate_timed_waits
     );
     println!(
@@ -583,7 +555,6 @@ fn main() {
         ("arena_events_per_sec", snap.arena_eps),
         ("legacy_events_per_sec", snap.legacy_eps),
         ("accurate_wall_s", snap.accurate_wall),
-        ("loose_wall_s", snap.loose_wall),
         ("jobs_per_sec_w1", snap.farm_eps[0]),
         ("jobs_per_sec_w2", snap.farm_eps[1]),
         ("jobs_per_sec_w4", snap.farm_eps[2]),

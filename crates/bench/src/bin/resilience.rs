@@ -15,7 +15,7 @@
 //!    a served campaign; the supervised farm respawns/retries and the
 //!    campaign artifact must match the clean run byte for byte.
 //! 2. **deadline** — a 1 ms deadline on that campaign; the job must
-//!    come back as a typed `deadline` error at a kernel-quantum
+//!    come back as a typed `deadline` error at a kernel scheduling
 //!    boundary, and the daemon must stay healthy.
 //! 3. **overload** — 4x more campaigns than the admission queue holds;
 //!    every submission either completes or is shed with a typed

@@ -3,16 +3,17 @@
 //! encoder SoC case study.
 //!
 //! Usage: `table1 [--scale N] [--mem-words N] [--trace [path]]` — `--scale`
-//! divides every pattern count (the memory size stays full unless
-//! `--mem-words` shrinks it); `--scale 1` (default) is the paper-scale
-//! run. `--trace` (or the `TVE_TRACE` env var) additionally records every
-//! TAM transfer, scan and schedule phase and writes a Chrome-trace JSON
-//! (default `target/trace_table1.json`, openable in Perfetto); the
-//! per-channel utilization is then recomputed from the recorded spans and
-//! checked for exact agreement with the live monitor. The full-size
-//! memory march dominates the span count, so pair `--trace` with
-//! `--mem-words` (e.g. 2622, the benchmark workload) for a trace a viewer
-//! can actually load.
+//! divides every pattern count and, unless `--mem-words` sets the memory
+//! size explicitly, the memory size too, so the test lengths printed
+//! ×N extrapolate to the paper-scale ones; `--scale 1` (default) is the
+//! paper-scale run. `--trace` (or the `TVE_TRACE` env var) additionally
+//! records every TAM transfer, scan and schedule phase and writes a
+//! Chrome-trace JSON (default `target/trace_table1.json`, openable in
+//! Perfetto); the per-channel utilization is then recomputed from the
+//! recorded spans and checked for exact agreement with the live monitor.
+//! The full-size memory march dominates the span count, so pair
+//! `--trace` with `--mem-words` (e.g. 2622, the benchmark workload) for a
+//! trace a viewer can actually load.
 //!
 //! The four scenarios are independent simulations, so they are fanned
 //! over the validation farm (`TVE_JOBS` overrides the worker count).
@@ -30,7 +31,7 @@ use tve_obs::{
 };
 use tve_sched::{BatchReport, Farm, ScenarioJob};
 use tve_serve::{JobKind, JobSpec};
-use tve_soc::{paper_schedules, Workload};
+use tve_soc::{paper_schedules, SocConfig, Workload};
 
 /// Paper values: (peak %, avg %, test length Mcycles, CPU s).
 const PAPER: [(f64, f64, f64, f64); 4] = [
@@ -49,16 +50,21 @@ fn main() {
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(1);
 
+    // The march tests scale with the memory size, not the pattern
+    // counts: shrink both, or the ×scale extrapolation overstates them.
     let mem_words = args
         .iter()
         .position(|a| a == "--mem-words")
         .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u32>().ok());
+        .and_then(|s| s.parse::<u32>().ok())
+        .unwrap_or_else(|| {
+            let words = SocConfig::paper().memory_words;
+            u32::try_from(scale).map_or(1, |s| (words / s.max(1)).max(1))
+        });
 
-    let mut workload = Workload::paper().with_scale(scale);
-    if let Some(words) = mem_words {
-        workload = workload.with_mem_words(words);
-    }
+    let workload = Workload::paper()
+        .with_scale(scale)
+        .with_mem_words(mem_words);
     let (config, plan) = workload.build();
 
     if let Some(socket) = daemon_socket(&args) {

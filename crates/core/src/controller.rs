@@ -209,10 +209,10 @@ impl TestController {
     /// queue onto the TAM. Under contention the queue backlogs, so the
     /// engine keeps a request pending at the bus.
     ///
-    /// Inline lane (accurate mode): when the access unit is parked on an
-    /// empty queue and an access takes less than `op_overhead`, the access
-    /// unit would finish the operation before the next one issues. The
-    /// generator then performs it itself through the DMI grant — which
+    /// Inline lane: when the access unit is parked on an empty queue and
+    /// an access takes less than `op_overhead`, the access unit would
+    /// finish the operation before the next one issues. The generator
+    /// then performs it itself through the DMI grant — which
     /// admits it only when no other process can act during the access —
     /// and waits only the rest of the overhead. Both write one shared
     /// outcome in operation order, so counts and the order of failing
@@ -250,11 +250,9 @@ impl TestController {
                 }
             })
         };
-        let inline = self.dmi_window(plan).filter(|w| {
-            !self.handle.lt_active()
-                && w.access_time() > Duration::ZERO
-                && w.access_time() < plan.op_overhead
-        });
+        let inline = self
+            .dmi_window(plan)
+            .filter(|w| w.access_time() > Duration::ZERO && w.access_time() < plan.op_overhead);
         // Time the previous operation already spent in the inline lane.
         let mut spent = Duration::ZERO;
         for op in plan.ops() {
@@ -543,11 +541,11 @@ mod tests {
     }
 
     #[test]
-    fn quantum_march_runs_over_dmi_with_identical_outcome() {
+    fn march_runs_over_dmi_with_identical_outcome() {
         let faults = vec![Fault::stuck_at(7, 3, true)];
         let accurate = run(DataPolicy::Full, faults.clone(), 32);
 
-        let mut sim = Simulation::with_quantum(Duration::cycles(10_000));
+        let mut sim = Simulation::new();
         let h = sim.handle();
         let mut mem = MemoryArray::new(32);
         for f in faults {

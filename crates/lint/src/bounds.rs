@@ -14,10 +14,9 @@
 //! `lo` assumes best-case overlap (every concurrent test runs at its
 //! physical floor: scan-shift length or channel bandwidth, whichever
 //! binds); `hi` assumes worst-case arbitration (every transaction of a
-//! phase fully serialized, plus configuration-ring, drain and
-//! loosely-timed slack). The soundness contract — every simulated run
-//! lands inside its envelope, across generated SoCs, both TAM channels,
-//! accurate and quantum mode — is machine-checked by
+//! phase fully serialized, plus configuration-ring and drain slack). The
+//! soundness contract — every simulated run lands inside its envelope,
+//! across generated SoCs and both TAM channels — is machine-checked by
 //! `tests/bounds_contract.rs`.
 //!
 //! The envelopes power `tve-sched::explore_certified`: a candidate whose
@@ -38,7 +37,7 @@ use crate::facts::TamChannel;
 
 /// Pinned schema version of the bounds JSON report (satellite of the
 /// lint report's `format_version`; bump on any shape change).
-pub const BOUNDS_FORMAT_VERSION: u64 = 1;
+pub const BOUNDS_FORMAT_VERSION: u64 = 2;
 
 /// A closed integer interval `[lo, hi]` in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,8 +111,6 @@ pub struct TaskBounds {
 pub struct ScheduleEnvelope {
     /// Schedule name.
     pub schedule: String,
-    /// Loosely-timed quantum the envelope covers (0 = cycle-accurate).
-    pub quantum: u64,
     /// Envelope on [`ScenarioMetrics::total_cycles`].
     pub total: Interval,
     /// Envelope on the summed slot spans of bus-channel tests.
@@ -218,15 +215,10 @@ fn channel_cycles(bits: u64, rate: (u64, u64)) -> u64 {
 /// Derives the certified stand-alone bounds of the seven case-study test
 /// sequences from the SoC configuration and plan — the two-sided mirror of
 /// `tve-sched::estimate_tasks`.
-///
-/// `quantum` is the loosely-timed quantum the bounds must cover (0 =
-/// cycle-accurate): temporal decoupling may legitimately shift timings, so
-/// a nonzero quantum widens every interval.
-pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<TaskBounds> {
+pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan) -> Vec<TaskBounds> {
     let w = u64::from(config.bus_width_bits);
     let boh = config.bus_overhead;
     let cap = config.capture_cycles;
-    let q = quantum;
     let full = plan.policy == DataPolicy::Full;
     let down = config.ate_down_rate;
     let up = config.ate_up_rate;
@@ -235,22 +227,6 @@ pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<
     // rotations (ring length is bounded by 256 bits in this SoC family)
     // plus WIR handshakes and the final signature/drain readout.
     let start_hi = 3 * 256 * config.ring_clock_div.max(1) + 128;
-    // Loosely-timed slack: local-time offsets shift slot edges by up to a
-    // few quanta and perturb interleavings; widen both sides.
-    let q_lo = |lo: u64| {
-        if q == 0 {
-            lo.max(1)
-        } else {
-            (lo - lo / 32).saturating_sub(16 * q).max(1)
-        }
-    };
-    let q_hi = |hi: u64| {
-        if q == 0 {
-            hi
-        } else {
-            hi + hi / 16 + 16 * q
-        }
-    };
 
     let power = config.power;
     let scan_power = |chains: u32, shift_cycles: u64, patterns: u64, may_skip: bool| {
@@ -285,8 +261,8 @@ pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<
             name: name.to_string(),
             channel: TamChannel::Bus,
             slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
+                lo: lo.max(1),
+                hi: hi + start_hi,
             },
             power_hi: p_hi,
             energy_lo: e_lo,
@@ -321,8 +297,8 @@ pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<
             name: name.to_string(),
             channel: TamChannel::Serial,
             slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
+                lo: lo.max(1),
+                hi: hi + start_hi,
             },
             power_hi: p_hi,
             energy_lo: e_lo,
@@ -370,8 +346,8 @@ pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<
             name: "T3 proc det 50x".to_string(),
             channel: TamChannel::Serial,
             slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
+                lo: lo.max(1),
+                hi: hi + start_hi,
             },
             power_hi: p_hi,
             energy_lo: e_lo,
@@ -393,8 +369,7 @@ pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<
 
     // T6/T7: memory march + pattern tests. The march engine serially pays
     // its per-op overhead regardless of TAM pipelining; the bus round trip
-    // is additional for the unpipelined processor-driven variant (and
-    // elided entirely by DMI in loosely-timed mode).
+    // is additional for the unpipelined processor-driven variant.
     let words = u64::from(config.memory_words);
     let ops = plan.march.total_ops(words)
         + plan
@@ -415,8 +390,8 @@ pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<
             name: "T6 mem march (ctrl)".to_string(),
             channel: TamChannel::Bus,
             slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
+                lo: lo.max(1),
+                hi: hi + start_hi,
             },
             power_hi: p_hi,
             energy_lo: e_lo,
@@ -424,17 +399,17 @@ pub fn task_bounds(config: &SocConfig, plan: &SocTestPlan, quantum: u64) -> Vec<
     }
     {
         let op7 = config.processor_op_overhead;
-        // DMI (quantum mode only) takes the bus transaction off each op.
-        let round_trip = if q == 0 { 1 } else { 0 };
-        let lo = ops * (op7 + round_trip);
+        // A DMI access still books the bus occupancy, so every op pays
+        // at least one cycle of bus round trip.
+        let lo = ops * (op7 + 1);
         let hi = ops * (op7 + 2 * (1 + boh) + 4);
         let (p_hi, e_lo) = mem_power(ops);
         out.push(TaskBounds {
             name: "T7 mem march (proc)".to_string(),
             channel: TamChannel::Bus,
             slot: Interval {
-                lo: q_lo(lo),
-                hi: q_hi(hi + start_hi),
+                lo: lo.max(1),
+                hi: hi + start_hi,
             },
             power_hi: p_hi,
             energy_lo: e_lo,
@@ -456,9 +431,8 @@ pub fn schedule_envelope(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,
-    quantum: u64,
 ) -> ScheduleEnvelope {
-    let tasks = task_bounds(config, plan, quantum);
+    let tasks = task_bounds(config, plan);
     let mut total = Interval::ZERO;
     let mut bus = Interval::ZERO;
     let mut serial = Interval::ZERO;
@@ -498,10 +472,10 @@ pub fn schedule_envelope(
 
     let peak_power = config.power.map(|p| {
         // Peak is a windowed average, so it can never exceed the maximum
-        // instantaneous sum of any phase (plus loosely-timed bunching);
+        // instantaneous sum of any phase (plus a 64-cycle bunching margin);
         // and it is at least the whole-run average, which the guaranteed
         // energy over the span ceiling bounds from below.
-        let bunching = 1.0 + (2.0 * quantum as f64 + 64.0) / p.window.max(1) as f64;
+        let bunching = 1.0 + 64.0 / p.window.max(1) as f64;
         let hi = inst_power_max * bunching + 1.0;
         let lo = if total.hi == 0 {
             0.0
@@ -513,7 +487,6 @@ pub fn schedule_envelope(
 
     ScheduleEnvelope {
         schedule: schedule.name.clone(),
-        quantum,
         total,
         bus_busy: bus,
         serial_busy: serial,
@@ -523,15 +496,27 @@ pub fn schedule_envelope(
 }
 
 /// [`schedule_envelope`] over a batch of schedules.
+///
+/// `quantum` must be 0. It is the kernel's former timing-mode knob, kept
+/// only because the standalone `perfbench` harness calls this function
+/// with four arguments.
+///
+/// # Panics
+///
+/// Panics if `quantum` is not 0.
 pub fn schedule_envelopes(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedules: &[Schedule],
     quantum: u64,
 ) -> Vec<ScheduleEnvelope> {
+    assert_eq!(
+        quantum, 0,
+        "the kernel has a single (cycle-accurate) timing mode"
+    );
     schedules
         .iter()
-        .map(|s| schedule_envelope(config, plan, s, quantum))
+        .map(|s| schedule_envelope(config, plan, s))
         .collect()
 }
 
@@ -555,10 +540,9 @@ pub fn bounds_reports_to_json(envelopes: &[ScheduleEnvelope]) -> String {
         let phases: Vec<String> = e.phases.iter().map(|&p| interval_json(p)).collect();
         let _ = writeln!(
             out,
-            "  {{\"schedule\": {}, \"quantum\": {}, \"total\": {}, \"bus_busy\": {}, \
+            "  {{\"schedule\": {}, \"total\": {}, \"bus_busy\": {}, \
              \"serial_busy\": {}, \"peak_power\": {}, \"phases\": [{}]}}{}",
             crate::diag::json_string(&e.schedule),
-            e.quantum,
             interval_json(e.total),
             interval_json(e.bus_busy),
             interval_json(e.serial_busy),
@@ -613,7 +597,7 @@ mod tests {
         let plan = SocTestPlan::paper();
         let sims = [283e6, 213e6, 265e6, 172e6]; // Table I, in cycles
         for (schedule, sim) in paper_schedules().iter().zip(sims) {
-            let env = schedule_envelope(&config, &plan, schedule, 0);
+            let env = schedule_envelope(&config, &plan, schedule);
             assert!(
                 (env.total.lo as f64) < sim && sim < env.total.hi as f64,
                 "{}: {} vs {sim}",
@@ -627,27 +611,13 @@ mod tests {
     }
 
     #[test]
-    fn quantum_widens_every_interval() {
-        let config = SocConfig::small();
-        let plan = SocTestPlan::small();
-        let s = &paper_schedules()[2];
-        let accurate = schedule_envelope(&config, &plan, s, 0);
-        let loose = schedule_envelope(&config, &plan, s, 4096);
-        assert!(loose.total.lo <= accurate.total.lo);
-        assert!(loose.total.hi >= accurate.total.hi);
-        assert!(loose.bus_busy.lo <= accurate.bus_busy.lo);
-        assert!(loose.serial_busy.hi >= accurate.serial_busy.hi);
-        assert_eq!(loose.quantum, 4096);
-    }
-
-    #[test]
     fn power_model_yields_a_positive_envelope() {
         let config = SocConfig {
             power: Some(Default::default()),
             ..SocConfig::small()
         };
         let plan = SocTestPlan::small();
-        let env = schedule_envelope(&config, &plan, &paper_schedules()[0], 0);
+        let env = schedule_envelope(&config, &plan, &paper_schedules()[0]);
         let p = env.peak_power.expect("power model enabled");
         assert!(p.lo > 0.0, "{p:?}");
         assert!(p.hi > p.lo);
@@ -658,7 +628,7 @@ mod tests {
         let config = SocConfig::small();
         let plan = SocTestPlan::small();
         let bogus = Schedule::new("bogus", vec![vec![0, 99], vec![42]]);
-        let env = schedule_envelope(&config, &plan, &bogus, 0);
+        let env = schedule_envelope(&config, &plan, &bogus);
         assert_eq!(env.phases.len(), 2);
         assert_eq!(env.phases[1], Interval::ZERO);
     }
@@ -685,7 +655,7 @@ mod tests {
         let plan = SocTestPlan::small();
         let schedule = &paper_schedules()[0]; // T1, T2, T4, T5, T7
         let metrics = tve_soc::run_scenario(&config, &plan, schedule).unwrap();
-        let tasks = task_bounds(&config, &plan, 0);
+        let tasks = task_bounds(&config, &plan);
         let obs = observe_metrics(&metrics, &tasks);
         assert!(obs.bus_busy > 0, "T1/T4/T7 are bus-fed");
         assert!(obs.serial_busy > 0, "T2/T5 are serial-fed");

@@ -206,7 +206,7 @@ pub fn explore_certified(
 
     for candidate in report.candidates {
         let started = Instant::now();
-        let envelope = schedule_envelope(config, plan, &candidate.schedule, 0);
+        let envelope = schedule_envelope(config, plan, &candidate.schedule);
         analysis_ns += started.elapsed().as_nanos();
         let power = candidate.estimate.peak_power;
 
@@ -231,10 +231,8 @@ pub fn explore_certified(
             Some(p) => CertifiedOutcome::Pruned(p),
             None => match tve_soc::run_scenario(config, plan, &candidate.schedule) {
                 Ok(metrics) => {
-                    let obs = tve_lint::observe_metrics(
-                        &metrics,
-                        &tve_lint::task_bounds(config, plan, 0),
-                    );
+                    let obs =
+                        tve_lint::observe_metrics(&metrics, &tve_lint::task_bounds(config, plan));
                     violations.extend(envelope.check(&obs));
                     incumbents.push((candidate.schedule.name.clone(), metrics.total_cycles, power));
                     CertifiedOutcome::Simulated(Box::new(metrics))
@@ -348,7 +346,7 @@ mod tests {
         let plan = SocTestPlan::paper();
         let tasks = estimate_tasks(&config, &plan);
         for s in paper_schedules() {
-            let env = schedule_envelope(&config, &plan, &s, 0);
+            let env = schedule_envelope(&config, &plan, &s);
             let est = estimate_schedule(&tasks, &s).total_cycles;
             assert!(
                 env.total.lo <= est && est <= env.total.hi,

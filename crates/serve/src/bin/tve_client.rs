@@ -48,7 +48,8 @@ job flags:
   --no-wait                  submit async; prints the job id
   --out FILE                 also write the result JSON to FILE
   --deadline MS              per-job deadline; overruns are cancelled at
-                             the next kernel quantum and reported typed
+                             the next kernel scheduling boundary and
+                             reported typed
 robustness flags:
   --retries N                retry transport failures and overloaded
                              rejections with seeded exponential backoff

@@ -137,7 +137,6 @@ struct JobTable {
 struct Shared {
     cache: ResultCache,
     farm: Farm,
-    quantum: String,
     verify: Option<f64>,
     socket: PathBuf,
     cache_file: Option<PathBuf>,
@@ -363,7 +362,6 @@ fn bind(options: &ServeOptions) -> io::Result<(UnixListener, Arc<Shared>)> {
     let shared = Arc::new(Shared {
         cache,
         farm,
-        quantum: std::env::var("TVE_QUANTUM").unwrap_or_default(),
         verify: options.verify,
         socket: options.socket.clone(),
         cache_file: options.cache_file.clone(),
@@ -390,11 +388,10 @@ fn bind(options: &ServeOptions) -> io::Result<(UnixListener, Arc<Shared>)> {
     });
     if !options.quiet {
         println!(
-            "tve-serve: listening on {} ({} farm workers, verify {:?}, quantum {:?})",
+            "tve-serve: listening on {} ({} farm workers, verify {:?})",
             options.socket.display(),
             shared.farm.workers(),
-            options.verify,
-            shared.quantum
+            options.verify
         );
     }
     Ok((listener, shared))
@@ -577,24 +574,19 @@ fn write_response(stream: &mut UnixStream, shared: &Shared, response: &str) -> i
 /// of the job's certified bounds envelopes, in simulated ns — no
 /// simulation, just the `tve-lint` interval analysis. Campaigns scale by
 /// their cell count (population × one golden pass).
-fn estimate_cost(job: &JobSpec, quantum: &str) -> Option<f64> {
-    let quantum: u64 = quantum.parse().unwrap_or(0);
+fn estimate_cost(job: &JobSpec) -> Option<f64> {
     match &job.kind {
         JobKind::Lint { .. } | JobKind::Bounds { .. } => None,
         JobKind::Schedule { index } => {
             let (config, plan) = job.workload.build();
             let schedules = selected_schedules(&[*index]);
-            let envelopes = tve_lint::schedule_envelopes(&config, &plan, &schedules, quantum);
+            let envelopes = tve_lint::schedule_envelopes(&config, &plan, &schedules, 0);
             Some(envelopes.iter().map(|e| e.total.hi as f64).sum())
         }
         JobKind::Campaign { .. } => {
             let campaign = job.campaign_config()?;
-            let envelopes = tve_lint::schedule_envelopes(
-                &campaign.soc,
-                &campaign.plan,
-                &campaign.schedules,
-                quantum,
-            );
+            let envelopes =
+                tve_lint::schedule_envelopes(&campaign.soc, &campaign.plan, &campaign.schedules, 0);
             let per_pass: f64 = envelopes.iter().map(|e| e.total.hi as f64).sum();
             Some(per_pass * (campaign.population.len() as f64 + 1.0))
         }
@@ -610,10 +602,9 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
         .ok_or_else(|| ServeError::protocol("request wants a \"cmd\" string"))?;
     match cmd {
         "ping" => Ok(format!(
-            "{{\"ok\":true,\"pid\":{},\"workers\":{},\"quantum\":\"{}\"}}",
+            "{{\"ok\":true,\"pid\":{},\"workers\":{}}}",
             std::process::id(),
-            shared.farm.workers(),
-            shared.quantum
+            shared.farm.workers()
         )),
         "stats" => Ok(stats_response(shared)),
         "shutdown" => {
@@ -642,7 +633,7 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                 .get("wait")
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(true);
-            let cost = estimate_cost(&job, &shared.quantum);
+            let cost = estimate_cost(&job);
             let ticket = shared
                 .admission
                 .admit(job.priority(), cost)
@@ -876,7 +867,7 @@ fn execute(shared: &Arc<Shared>, job: &JobSpec, ctx: &JobCtx) -> Result<String, 
 fn run_schedule_job(shared: &Shared, job: &JobSpec, index: usize) -> Result<String, String> {
     let (config, plan) = job.workload.build();
     let schedule = selected_schedules(&[index]).remove(0);
-    let key = cell_key(&config, &plan, &schedule, "golden", &shared.quantum);
+    let key = cell_key(&config, &plan, &schedule, "golden");
     let mask = test_mask(&schedule_tests(&schedule));
     let fraction = shared.verify_fraction(job);
 
@@ -935,7 +926,7 @@ struct CacheStore<'a> {
 impl CacheStore<'_> {
     fn cell_key(&self, schedule: &Schedule, fault_id: &str) -> u64 {
         let c = self.campaign;
-        cell_key(&c.soc, &c.plan, schedule, fault_id, &self.shared.quantum)
+        cell_key(&c.soc, &c.plan, schedule, fault_id)
     }
 
     fn diagnosis_key(&self, fault_id: &str) -> u64 {
@@ -1229,7 +1220,6 @@ fn run_bounds_job(
 ) -> Result<String, String> {
     let (config, plan) = job.workload.build();
     let schedules = selected_schedules(schedule_indices);
-    let quantum: u64 = shared.quantum.parse().unwrap_or(0);
     let fraction = shared.verify_fraction(job);
     // One cache entry per job shape: key over every schedule's bounds
     // key. The envelopes consume the whole plan, so the entry carries
@@ -1237,17 +1227,13 @@ fn run_bounds_job(
     let mut key_text = String::new();
     for schedule in &schedules {
         use std::fmt::Write;
-        let _ = write!(
-            key_text,
-            "{:#018x}|",
-            bounds_key(&config, &plan, schedule, quantum)
-        );
+        let _ = write!(key_text, "{:#018x}|", bounds_key(&config, &plan, schedule));
     }
     let key = fnv1a(key_text.as_bytes());
 
     let compute = || -> String {
         tve_lint::bounds_reports_to_json(&tve_lint::schedule_envelopes(
-            &config, &plan, &schedules, quantum,
+            &config, &plan, &schedules, 0,
         ))
     };
 
@@ -1278,7 +1264,7 @@ fn run_bounds_job(
     };
 
     let mut out = format!(
-        "\"kind\":\"bounds\",\"schedules\":{},\"quantum\":{quantum},\"cached\":{cached},\"report\":",
+        "\"kind\":\"bounds\",\"schedules\":{},\"cached\":{cached},\"report\":",
         schedules.len()
     );
     append_json_string(&mut out, &report);

@@ -12,9 +12,7 @@
 //!   incremental, because an edit to test *k*'s pattern count leaves
 //!   the keys of every schedule that does not run test *k* untouched,
 //! * the schedule itself (name and phases),
-//! * the fault id (`golden` for baselines),
-//! * the loosely-timed quantum setting, which legitimately changes
-//!   results.
+//! * the fault id (`golden` for baselines).
 //!
 //! Keys are FNV-1a ([`tve_obs::fnv1a`]) over a canonical text
 //! encoding. The encoding uses the types' `Debug` forms, which is sound
@@ -88,20 +86,18 @@ pub fn plan_projection(plan: &SocTestPlan, tests: &[usize], out: &mut String) {
 
 /// The cache key of one (fault × schedule) cell. `fault_id` is
 /// [`tve_campaign::FaultSpec::id`] output, or `"golden"` for the
-/// fault-free baseline. `quantum` is the daemon's loosely-timed quantum
-/// setting (empty string when accurate).
+/// fault-free baseline.
 pub fn cell_key(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,
     fault_id: &str,
-    quantum: &str,
 ) -> u64 {
     use std::fmt::Write;
     let mut text = String::with_capacity(512);
     let _ = write!(
         text,
-        "cell/v1|cfg={config:?}|sched={}:{:?}|fault={fault_id}|q={quantum}",
+        "cell/v1|cfg={config:?}|sched={}:{:?}|fault={fault_id}",
         schedule.name, schedule.phases
     );
     plan_projection(plan, &schedule_tests(schedule), &mut text);
@@ -141,17 +137,11 @@ pub fn lint_key(
 }
 
 /// The cache key of a certified static bounds report. The envelope
-/// consumes the full config, the full plan and the loosely-timed
-/// quantum (which legitimately moves the interval endpoints), so all
-/// three participate with no projection.
-pub fn bounds_key(
-    config: &SocConfig,
-    plan: &SocTestPlan,
-    schedule: &Schedule,
-    quantum: u64,
-) -> u64 {
+/// consumes the full config and the full plan, so both participate with
+/// no projection.
+pub fn bounds_key(config: &SocConfig, plan: &SocTestPlan, schedule: &Schedule) -> u64 {
     let text = format!(
-        "bounds/v1|cfg={config:?}|plan={plan:?}|sched={}:{:?}|q={quantum}",
+        "bounds/v1|cfg={config:?}|plan={plan:?}|sched={}:{:?}",
         schedule.name, schedule.phases
     );
     fnv1a(text.as_bytes())
@@ -167,30 +157,28 @@ mod tests {
         let config = SocConfig::small();
         let plan = SocTestPlan::small();
         let schedules = paper_schedules();
-        let k = cell_key(&config, &plan, &schedules[0], "golden", "");
-        assert_eq!(k, cell_key(&config, &plan, &schedules[0], "golden", ""));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[1], "golden", ""));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "scan:x", ""));
-        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "golden", "4096"));
+        let k = cell_key(&config, &plan, &schedules[0], "golden");
+        assert_eq!(k, cell_key(&config, &plan, &schedules[0], "golden"));
+        assert_ne!(k, cell_key(&config, &plan, &schedules[1], "golden"));
+        assert_ne!(k, cell_key(&config, &plan, &schedules[0], "scan:x"));
         let mut other_cfg = config.clone();
         other_cfg.memory_words += 1;
-        assert_ne!(k, cell_key(&other_cfg, &plan, &schedules[0], "golden", ""));
+        assert_ne!(k, cell_key(&other_cfg, &plan, &schedules[0], "golden"));
     }
 
     #[test]
-    fn bounds_keys_cover_quantum_and_plan() {
+    fn bounds_keys_cover_the_whole_plan() {
         let config = SocConfig::small();
         let plan = SocTestPlan::small();
         let schedules = paper_schedules();
-        let k = bounds_key(&config, &plan, &schedules[0], 0);
-        assert_eq!(k, bounds_key(&config, &plan, &schedules[0], 0));
-        assert_ne!(k, bounds_key(&config, &plan, &schedules[1], 0));
-        assert_ne!(k, bounds_key(&config, &plan, &schedules[0], 1024));
+        let k = bounds_key(&config, &plan, &schedules[0]);
+        assert_eq!(k, bounds_key(&config, &plan, &schedules[0]));
+        assert_ne!(k, bounds_key(&config, &plan, &schedules[1]));
         let mut edited = plan.clone();
         edited.det_proc_patterns += 1;
         assert_ne!(
             k,
-            bounds_key(&config, &edited, &schedules[0], 0),
+            bounds_key(&config, &edited, &schedules[0]),
             "bounds consume the whole plan — no projection"
         );
     }
@@ -203,19 +191,19 @@ mod tests {
         // and no test 6.
         let schedule = &paper_schedules()[1];
         assert_eq!(schedule_tests(schedule), vec![0, 2, 3, 4, 5]);
-        let before = cell_key(&config, &plan, schedule, "golden", "");
+        let before = cell_key(&config, &plan, schedule, "golden");
         let mut edited = plan.clone();
         edited.det_proc_patterns += 5;
         assert_eq!(
             before,
-            cell_key(&config, &edited, schedule, "golden", ""),
+            cell_key(&config, &edited, schedule, "golden"),
             "edit to an unscheduled test must not move the key"
         );
         let mut touched = plan.clone();
         touched.det_dct_patterns += 5;
         assert_ne!(
             before,
-            cell_key(&config, &touched, schedule, "golden", ""),
+            cell_key(&config, &touched, schedule, "golden"),
             "edit to a scheduled test must move the key"
         );
     }

@@ -49,8 +49,6 @@ struct Slot {
     /// A live task occupies this slot (its future may be checked out
     /// for polling).
     occupied: bool,
-    /// Loosely-timed mode: cycles this task has run ahead of global time.
-    pub(crate) local_offset: u64,
     future: Option<LocalFuture>,
     /// The task's `Waker` (shared with `Context` during polls).
     waker: Option<Waker>,
@@ -91,7 +89,6 @@ impl TaskArena {
             slot.next = NIL;
             slot.queued = false;
             slot.occupied = true;
-            slot.local_offset = 0;
             slot.future = Some(future);
             slot.waker = None;
             TaskId {
@@ -105,17 +102,11 @@ impl TaskArena {
                 next: NIL,
                 queued: false,
                 occupied: true,
-                local_offset: 0,
                 future: Some(future),
                 waker: None,
             });
             TaskId { index, gen: 0 }
         }
-    }
-
-    fn slot(&self, id: TaskId) -> Option<&Slot> {
-        let s = self.slots.get(id.index as usize)?;
-        (s.gen == id.gen && s.occupied).then_some(s)
     }
 
     fn slot_mut(&mut self, id: TaskId) -> Option<&mut Slot> {
@@ -126,7 +117,9 @@ impl TaskArena {
     /// Whether `id` still names a live task.
     #[cfg(test)]
     pub(crate) fn is_live(&self, id: TaskId) -> bool {
-        self.slot(id).is_some()
+        self.slots
+            .get(id.index as usize)
+            .is_some_and(|s| s.gen == id.gen && s.occupied)
     }
 
     /// Checks out the task's future and waker for polling (the waker is
@@ -223,17 +216,6 @@ impl TaskArena {
             self.free(index);
         }
         None
-    }
-
-    /// Loosely-timed local-time offset of `id` (0 for stale ids).
-    pub(crate) fn local_offset(&self, id: TaskId) -> u64 {
-        self.slot(id).map_or(0, |s| s.local_offset)
-    }
-
-    pub(crate) fn set_local_offset(&mut self, id: TaskId, off: u64) {
-        if let Some(slot) = self.slot_mut(id) {
-            slot.local_offset = off;
-        }
     }
 }
 

@@ -3,12 +3,11 @@
 //! A [`CancelToken`] is a thread-safe flag that an external supervisor
 //! (deadline watcher, shutdown path, chaos harness) trips to ask a running
 //! simulation to stop. The kernel checks the token once per scheduling
-//! boundary — each `advance` to the next distinct timestamp, which in
-//! loosely-timed mode is also every quantum sync point — so a cancelled
-//! simulation stops at a deterministic, well-defined point instead of
-//! mid-poll. The accurate-mode lone-runner advance, which lets a task
-//! move time forward without returning to the run loop, declines once
-//! the token is tripped, so even a task that never suspends reaches that
+//! boundary — each `advance` to the next distinct timestamp — so a
+//! cancelled simulation stops at a deterministic, well-defined point
+//! instead of mid-poll. The lone-runner advance, which lets a task move
+//! time forward without returning to the run loop, declines once the
+//! token is tripped, so even a task that never suspends reaches that
 //! check.
 //!
 //! Cancellation is delivered by unwinding with the [`Cancelled`] payload

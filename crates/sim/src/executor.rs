@@ -13,19 +13,14 @@
 //! [`TaskId`](crate::arena::TaskId)s rather than cloned `Waker`s; the
 //! `Waker` machinery remains only as a fallback for foreign futures.
 //!
-//! An opt-in *loosely-timed* mode ([`Simulation::with_quantum`])
-//! temporally decouples tasks: relative waits accumulate into a per-task
-//! local-time offset and only synchronize with the global event queue at
-//! quantum boundaries, the TLM-2.0 trade of timing fidelity for speed.
-//! The default (quantum 0) mode is cycle-accurate and byte-identical to
-//! the pre-arena kernel (see `tests/kernel_digests.rs`).
-//!
-//! Accurate mode has one fast path of its own, the *lone-runner advance*
-//! (`Kernel::lone_advance`): a timed wait whose end no other process
-//! can act before moves `now` forward in place instead of suspending.
-//! The wait still counts as a fired timer, so every observable — time,
-//! wake order, [`Simulation::kernel_stats`]'s timer count — is the one
-//! the event-driven path produces; only task polls drop.
+//! The kernel has one timing mode, cycle-accurate and byte-identical to
+//! the pre-arena kernel (see `tests/kernel_digests.rs`). Its one fast
+//! path is the *lone-runner advance* (`Kernel::lone_advance`): a timed
+//! wait whose end no other process can act before moves `now` forward in
+//! place instead of suspending. The wait still counts as a fired timer,
+//! so every observable — time, wake order, [`Simulation::kernel_stats`]'s
+//! timer count — is the one the event-driven path produces; only task
+//! polls drop.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -104,7 +99,6 @@ pub(crate) struct Kernel {
     spawn_seq: Cell<u64>,
     polls: Cell<u64>,
     timers_fired: Cell<u64>,
-    sync_points: Cell<u64>,
     /// Pending timers bucketed by absolute firing time; within a bucket,
     /// entries fire in scheduling order (the old `(time, seq)` order).
     timers: RefCell<BTreeMap<u64, Vec<TimerFire>>>,
@@ -119,17 +113,10 @@ pub(crate) struct Kernel {
     /// Packed id of the task currently being polled ([`NO_TASK`] outside
     /// polls); how kernel futures find their owner without a `Waker`.
     current: Cell<u64>,
-    /// The current task's loosely-timed local offset, cached here for the
-    /// duration of its poll so the quantum fast path never touches the
-    /// arena. Written back to the slot when the poll suspends. Only
-    /// meaningful while `current != NO_TASK` and `quantum != 0`.
-    current_off: Cell<u64>,
     pending_spawn: RefCell<Vec<LocalFuture>>,
     /// Side queue for wakes arriving through the `Waker` fallback
     /// (foreign futures); shared with wakers, which must be `Send + Sync`.
     ext: Arc<ExtQueue>,
-    /// Loosely-timed quantum in cycles; 0 = cycle-accurate mode.
-    quantum: Cell<u64>,
     /// Horizon of the active [`Simulation::run_until`] call: no lone
     /// advance may carry `now` past it.
     horizon: Cell<u64>,
@@ -148,19 +135,16 @@ impl Kernel {
             spawn_seq: Cell::new(0),
             polls: Cell::new(0),
             timers_fired: Cell::new(0),
-            sync_points: Cell::new(0),
             timers: RefCell::new(BTreeMap::new()),
             earliest: Cell::new(u64::MAX),
             bucket_pool: RefCell::new(Vec::new()),
             arena: RefCell::new(TaskArena::new()),
             current: Cell::new(NO_TASK),
-            current_off: Cell::new(0),
             pending_spawn: RefCell::new(Vec::new()),
             ext: Arc::new(ExtQueue {
                 nonempty: AtomicBool::new(false),
                 queue: Mutex::new(Vec::new()),
             }),
-            quantum: Cell::new(0),
             horizon: Cell::new(0),
             batch_limit: Cell::new(usize::MAX),
             cancel: crate::cancel::current_token(),
@@ -187,30 +171,10 @@ impl Kernel {
         (packed != NO_TASK).then(|| TaskId::unpack(packed))
     }
 
-    /// The loosely-timed quantum (0 in accurate mode).
-    pub(crate) fn quantum(&self) -> u64 {
-        self.quantum.get()
-    }
-
-    /// Current task's local-time offset ahead of global time (always 0 in
-    /// accurate mode).
-    pub(crate) fn current_offset(&self) -> u64 {
-        if self.quantum.get() == 0 || self.current.get() == NO_TASK {
-            return 0;
-        }
-        self.current_off.get()
-    }
-
-    pub(crate) fn set_current_offset(&self, off: u64) {
-        if self.current.get() != NO_TASK {
-            self.current_off.set(off);
-        }
-    }
-
-    /// The lone-runner advance: in accurate mode, moves `now` to
-    /// `deadline` in place — the polled task's timed wait completes
-    /// without suspending — when the kernel can prove no other process
-    /// acts before then. The five proof obligations:
+    /// The lone-runner advance: moves `now` to `deadline` in place — the
+    /// polled task's timed wait completes without suspending — when the
+    /// kernel can prove no other process acts before then. The five
+    /// proof obligations:
     ///
     /// 1. a task is being polled (so it, and only it, is running);
     /// 2. nothing else is runnable: the ready queue is empty, no spawn is
@@ -229,7 +193,6 @@ impl Kernel {
         // test that before anything that needs a borrow.
         if deadline >= self.earliest.get()
             || deadline <= self.now.get()
-            || self.quantum.get() != 0
             || deadline > self.horizon.get()
             || self.current.get() == NO_TASK
             || !self.arena.borrow().ready_is_empty()
@@ -241,25 +204,6 @@ impl Kernel {
         }
         self.now.set(deadline);
         self.timers_fired.set(self.timers_fired.get() + 1);
-        true
-    }
-
-    /// One-pass fits-and-absorb for [`SimHandle::try_local_wait`]: checks
-    /// and consumes the offset in a single walk over the cells. In
-    /// accurate mode it is the lone-runner advance instead.
-    pub(crate) fn absorb_local(&self, d: u64) -> bool {
-        let q = self.quantum.get();
-        if q == 0 {
-            return self.lone_advance(self.now.get().saturating_add(d));
-        }
-        if d == 0 || self.current.get() == NO_TASK {
-            return false;
-        }
-        let off = self.current_off.get().saturating_add(d);
-        if off >= q {
-            return false;
-        }
-        self.current_off.set(off);
         true
     }
 
@@ -339,30 +283,19 @@ impl Kernel {
             return false; // already completed; stale wakeup
         };
         self.polls.set(self.polls.get() + 1);
-        let lt = self.quantum.get() != 0;
         let prev = self.current.replace(id.pack());
-        let prev_off = self.current_off.replace(if lt {
-            self.arena.borrow().local_offset(id)
-        } else {
-            0
-        });
         let mut cx = Context::from_waker(&waker);
         let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             future.as_mut().poll(&mut cx)
         }));
         self.current.set(prev);
-        let off = self.current_off.replace(prev_off);
         match poll {
             Ok(Poll::Ready(())) => {
                 self.arena.borrow_mut().remove(id);
                 true
             }
             Ok(Poll::Pending) => {
-                let mut arena = self.arena.borrow_mut();
-                if lt {
-                    arena.set_local_offset(id, off);
-                }
-                arena.put_back(id, future, waker);
+                self.arena.borrow_mut().put_back(id, future, waker);
                 false
             }
             Err(payload) => {
@@ -461,15 +394,8 @@ impl fmt::Debug for SimHandle {
 
 impl SimHandle {
     /// The current simulated time.
-    ///
-    /// In loosely-timed mode this is the calling task's *local* time:
-    /// global kernel time plus the task's accumulated quantum offset.
     pub fn now(&self) -> Time {
-        Time::from_cycles(
-            self.kernel
-                .now()
-                .saturating_add(self.kernel.current_offset()),
-        )
+        Time::from_cycles(self.kernel.now())
     }
 
     /// Suspends the calling process for `d` cycles.
@@ -477,101 +403,40 @@ impl SimHandle {
     /// A zero-length wait is a *delta wait*: the process yields and resumes
     /// at the same simulated time after other runnable processes have run.
     ///
-    /// In loosely-timed mode ([`Simulation::with_quantum`]) a nonzero wait
-    /// accumulates into the task's local-time offset and returns
-    /// *without suspending* until the offset reaches the quantum; only
-    /// then does the task synchronize with the global event queue. Zero
-    /// waits always yield, so delta-cycle cooperation keeps working.
-    ///
-    /// In accurate mode a nonzero wait completes in place, on its first
-    /// poll, when the task is provably alone until its end (the
-    /// lone-runner advance, see the module docs); every observable is
-    /// the one the suspension would produce.
+    /// A nonzero wait completes in place, on its first poll, when the
+    /// task is provably alone until its end (the lone-runner advance, see
+    /// the module docs); every observable is the one the suspension would
+    /// produce.
     pub fn wait(&self, d: Duration) -> Wait {
-        let k = &self.kernel;
-        let q = k.quantum();
-        let d = d.as_cycles();
-        if q > 0 && d > 0 && k.current_task().is_some() {
-            let off = k.current_offset().saturating_add(d);
-            if off < q {
-                // Run ahead without synchronizing.
-                k.set_current_offset(off);
-                return Wait {
-                    kernel: Rc::clone(k),
-                    deadline: 0,
-                    state: WaitState::Elapsed,
-                };
-            }
-            // Quantum boundary: flush the offset into a real wakeup.
-            k.set_current_offset(0);
-            k.sync_points.set(k.sync_points.get() + 1);
-            return Wait {
-                kernel: Rc::clone(k),
-                deadline: k.now().saturating_add(off),
-                state: WaitState::Init,
-            };
-        }
-        self.wait_until(Time::from_cycles(k.now().saturating_add(d)))
+        self.wait_until(Time::from_cycles(
+            self.kernel.now().saturating_add(d.as_cycles()),
+        ))
     }
 
     /// Suspends the calling process until absolute time `t` (immediately
     /// resumes via a delta cycle if `t` is not in the future).
-    ///
-    /// In loosely-timed mode this is always a synchronization point: the
-    /// task's local-time offset is flushed (the wakeup is scheduled at
-    /// `max(t, local now)`) and reset to zero.
     pub fn wait_until(&self, t: Time) -> Wait {
-        let k = &self.kernel;
-        let mut deadline = t.cycles();
-        if k.quantum() > 0 {
-            let local = k.now().saturating_add(k.current_offset());
-            deadline = deadline.max(local);
-            k.set_current_offset(0);
-        }
         Wait {
-            kernel: Rc::clone(k),
-            deadline,
+            kernel: Rc::clone(&self.kernel),
+            deadline: t.cycles(),
             state: WaitState::Init,
         }
-    }
-
-    /// Whether a [`SimHandle::wait`] of `d` by the calling process would be
-    /// absorbed into its loosely-timed local-time offset without suspending.
-    ///
-    /// Always `false` in the default accurate mode, for a zero-length wait,
-    /// or when the offset would reach the quantum. Transaction-level models
-    /// use this (with [`SimHandle::try_local_wait`]) to bypass their
-    /// suspension machinery entirely for intra-quantum accesses.
-    pub fn local_wait_fits(&self, d: Duration) -> bool {
-        let k = &self.kernel;
-        let q = k.quantum();
-        let d = d.as_cycles();
-        q > 0 && d > 0 && k.current_task().is_some() && k.current_offset().saturating_add(d) < q
     }
 
     /// Completes a wait of `d` without suspending, if possible; returns
     /// whether it did. On `false` nothing happened — take the ordinary
     /// `wait(d).await` path instead.
     ///
-    /// In loosely-timed mode `d` is absorbed into the calling task's
-    /// local-time offset when it fits ([`SimHandle::local_wait_fits`]).
-    /// In accurate mode it is the lone-runner advance: global time moves
-    /// by `d` in place when no other process can act before then, and
-    /// the wait counts as a fired timer.
+    /// This is the lone-runner advance: time moves by `d` in place when
+    /// no other process can act before then, and the wait counts as a
+    /// fired timer.
     pub fn try_local_wait(&self, d: Duration) -> bool {
-        self.kernel.absorb_local(d.as_cycles())
-    }
-
-    /// Whether loosely-timed quantum mode is active. Fast paths whose
-    /// bookkeeping differs between the modes (where a transfer's busy
-    /// interval starts, which lanes exist) branch on it.
-    pub fn lt_active(&self) -> bool {
-        self.kernel.quantum() != 0
+        let k = &self.kernel;
+        k.lone_advance(k.now().saturating_add(d.as_cycles()))
     }
 
     /// Gives back `d` cycles just consumed by a successful
-    /// [`SimHandle::try_local_wait`]: restores the task's local-time
-    /// offset, or in accurate mode rewinds global time and the fired-timer
+    /// [`SimHandle::try_local_wait`]: rewinds time and the fired-timer
     /// count of the lone-runner advance. For all-or-nothing composition
     /// of synchronous fast paths: a channel may consume its occupancy
     /// before probing a downstream component, then refund it if that
@@ -582,13 +447,8 @@ impl SimHandle {
         if k.current.get() == NO_TASK {
             return;
         }
-        if k.quantum() == 0 {
-            k.now.set(k.now.get().saturating_sub(d.as_cycles()));
-            k.timers_fired.set(k.timers_fired.get() - 1);
-        } else {
-            k.current_off
-                .set(k.current_off.get().saturating_sub(d.as_cycles()));
-        }
+        k.now.set(k.now.get().saturating_sub(d.as_cycles()));
+        k.timers_fired.set(k.timers_fired.get() - 1);
     }
 
     /// Spawns a new process and returns a [`JoinHandle`] resolving to its
@@ -658,8 +518,7 @@ enum WaitState {
     Init,
     /// Timer registered; waiting for the deadline.
     Registered,
-    /// Loosely-timed fast path: the wait was absorbed into the task's
-    /// local offset and completes on first poll.
+    /// Completed in place by the lone-runner advance.
     Elapsed,
 }
 
@@ -797,7 +656,6 @@ impl fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.kernel.now())
             .field("live_tasks", &self.kernel.live_tasks())
-            .field("quantum", &self.kernel.quantum())
             .finish()
     }
 }
@@ -816,43 +674,11 @@ impl Simulation {
         }
     }
 
-    /// Creates a *loosely-timed* simulation with the given quantum.
-    ///
-    /// Tasks run temporally decoupled: relative waits accrue into a
-    /// per-task local-time offset and only synchronize with the event
-    /// queue when the offset reaches `quantum` (or at an explicit
-    /// [`SimHandle::wait_until`] / zero-length wait). This trades intra-
-    /// quantum event ordering — and therefore exact digests — for speed;
-    /// results are still deterministic for a fixed quantum. A zero
-    /// quantum is the accurate mode of [`Simulation::new`].
-    pub fn with_quantum(quantum: Duration) -> Self {
-        let sim = Simulation::new();
-        sim.kernel.quantum.set(quantum.as_cycles());
-        sim
-    }
-
-    /// Creates a simulation whose mode comes from the `TVE_QUANTUM`
-    /// environment variable: unset, empty or `0` means cycle-accurate;
-    /// any other integer is the loosely-timed quantum in cycles.
-    ///
-    /// Shipped scenario runners build their simulators through this, so
-    /// whole benchmark harnesses can be switched to loosely-timed mode
-    /// without threading a parameter through every layer (the same idiom
-    /// as `TVE_JOBS` for the farm).
+    /// The same as [`Simulation::new`]. The kernel has a single timing
+    /// mode and reads no environment; this constructor remains because
+    /// the standalone `perfbench` harness builds its simulators with it.
     pub fn from_env() -> Self {
-        let quantum = std::env::var("TVE_QUANTUM")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        Simulation::with_quantum(Duration::cycles(quantum))
-    }
-
-    /// The loosely-timed quantum, or `None` in cycle-accurate mode.
-    pub fn quantum(&self) -> Option<Duration> {
-        match self.kernel.quantum() {
-            0 => None,
-            q => Some(Duration::cycles(q)),
-        }
+        Self::new()
     }
 
     /// Testing/diagnostic knob: fire at most `limit` same-timestamp
@@ -886,12 +712,6 @@ impl Simulation {
     /// comparisons.
     pub fn kernel_stats(&self) -> (u64, u64) {
         (self.kernel.polls.get(), self.kernel.timers_fired.get())
-    }
-
-    /// Loosely-timed synchronization points taken so far (0 in accurate
-    /// mode): how often a task's accrued offset crossed the quantum.
-    pub fn sync_points(&self) -> u64 {
-        self.kernel.sync_points.get()
     }
 
     /// Spawns a process; see [`SimHandle::spawn`].
@@ -1196,73 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn quantum_mode_skips_synchronization() {
-        let mut sim = Simulation::with_quantum(Duration::cycles(100));
-        let h = sim.handle();
-        let jh = sim.spawn(async move {
-            for _ in 0..1000 {
-                h.wait(Duration::cycles(1)).await;
-            }
-            h.now().cycles()
-        });
-        let end = sim.run();
-        // Local time is exact even though only every 100th wait synced.
-        assert_eq!(jh.try_take(), Some(1000));
-        assert_eq!(end.cycles(), 1000);
-        assert_eq!(sim.sync_points(), 10);
-        let (polls, timers) = sim.kernel_stats();
-        assert!(polls < 30, "expected ~10 sync polls, got {polls}");
-        assert!(timers < 15, "expected ~10 timer entries, got {timers}");
-    }
-
-    #[test]
-    fn quantum_mode_zero_wait_still_yields() {
-        let mut sim = Simulation::with_quantum(Duration::cycles(1000));
-        let h = sim.handle();
-        let log: Rc<RefCell<Vec<&str>>> = Rc::new(RefCell::new(Vec::new()));
-        {
-            let log = Rc::clone(&log);
-            let h2 = h.clone();
-            sim.spawn(async move {
-                log.borrow_mut().push("a1");
-                h2.wait(Duration::ZERO).await;
-                log.borrow_mut().push("a2");
-            });
-        }
-        {
-            let log = Rc::clone(&log);
-            sim.spawn(async move {
-                log.borrow_mut().push("b1");
-            });
-        }
-        sim.run();
-        assert_eq!(*log.borrow(), vec!["a1", "b1", "a2"]);
-    }
-
-    #[test]
-    fn quantum_mode_is_deterministic() {
-        fn run_once() -> (u64, Vec<u64>) {
-            let mut sim = Simulation::with_quantum(Duration::cycles(64));
-            let h = sim.handle();
-            let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-            for i in 0..8u64 {
-                let h = h.clone();
-                let log = Rc::clone(&log);
-                sim.spawn(async move {
-                    for k in 0..200u64 {
-                        h.wait(Duration::cycles((i + k) % 13 + 1)).await;
-                    }
-                    log.borrow_mut().push(h.now().cycles());
-                });
-            }
-            let end = sim.run().cycles();
-            let v = log.borrow().clone();
-            (end, v)
-        }
-        assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
     fn timer_at_the_wait_end_forces_the_event_path() {
         // The second task's wait ends exactly where the first one's timer
         // fires: it must suspend, so the first task's earlier-scheduled
@@ -1387,13 +1140,5 @@ mod tests {
         assert_eq!(jh.try_take(), Some(Time::from_cycles(30)));
         assert_eq!(sim.now(), Time::from_cycles(30));
         assert_eq!(sim.kernel_stats(), (1, 10), "one poll, ten timed waits");
-    }
-
-    #[test]
-    fn accurate_mode_has_zero_quantum() {
-        let sim = Simulation::new();
-        assert_eq!(sim.quantum(), None);
-        let lt = Simulation::with_quantum(Duration::cycles(32));
-        assert_eq!(lt.quantum(), Some(Duration::cycles(32)));
     }
 }

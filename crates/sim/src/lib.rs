@@ -17,14 +17,11 @@
 //! Internally, tasks live in a slab arena with generation-checked ids and
 //! an intrusive ready queue, timers are bucketed by timestamp and fired in
 //! same-instant batches, and waits/notifications move packed task ids
-//! instead of cloned `Waker`s — see the `executor` module docs. An opt-in
-//! loosely-timed mode ([`Simulation::with_quantum`], or `TVE_QUANTUM` via
-//! [`Simulation::from_env`]) trades intra-quantum timing fidelity for
-//! speed through temporal decoupling; the default mode is cycle-accurate
-//! and digest-stable across kernel versions. In that mode a task that is
-//! provably alone until the end of a timed wait advances time in place
-//! instead of suspending (the lone-runner advance): same results, fewer
-//! polls.
+//! instead of cloned `Waker`s — see the `executor` module docs. The
+//! kernel has one timing mode, cycle-accurate and digest-stable across
+//! kernel versions. A task that is provably alone until the end of a
+//! timed wait advances time in place instead of suspending (the
+//! lone-runner advance): same results, fewer polls.
 //!
 //! ```
 //! use tve_sim::{Simulation, Duration};

@@ -428,26 +428,7 @@ pub fn run_scenario(
     plan: &SocTestPlan,
     schedule: &Schedule,
 ) -> Result<ScenarioMetrics, ScheduleError> {
-    run_scenario_impl(config, plan, schedule, None, None, |_| {})
-}
-
-/// [`run_scenario`] with an explicit loosely-timed quantum instead of the
-/// `TVE_QUANTUM` environment variable: a zero quantum is the default
-/// cycle-accurate mode, a nonzero quantum opts into temporal decoupling.
-/// Results are deterministic for a fixed quantum; see
-/// `tests/kernel_digests.rs` for the pinned digests of both modes.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if `schedule` is not well-formed for the
-/// seven-test list.
-pub fn run_scenario_quantum(
-    config: &SocConfig,
-    plan: &SocTestPlan,
-    schedule: &Schedule,
-    quantum: Duration,
-) -> Result<ScenarioMetrics, ScheduleError> {
-    run_scenario_impl(config, plan, schedule, Some(quantum), None, |_| {})
+    run_scenario_impl(config, plan, schedule, None, |_| {})
 }
 
 /// [`run_scenario`] with a preparation hook: `prepare` runs on the freshly
@@ -467,7 +448,7 @@ pub fn run_scenario_prepared<F: FnOnce(&JpegEncoderSoc)>(
     schedule: &Schedule,
     prepare: F,
 ) -> Result<ScenarioMetrics, ScheduleError> {
-    run_scenario_impl(config, plan, schedule, None, None, prepare)
+    run_scenario_impl(config, plan, schedule, None, prepare)
 }
 
 /// [`run_scenario_prepared`] with observability: the recorder is attached
@@ -486,7 +467,7 @@ pub fn run_scenario_prepared_traced<F: FnOnce(&JpegEncoderSoc)>(
     prepare: F,
 ) -> Result<(ScenarioMetrics, TraceLog), ScheduleError> {
     let rec = Rc::new(Recorder::new(storage));
-    let metrics = run_scenario_impl(config, plan, schedule, None, Some(&rec), prepare)?;
+    let metrics = run_scenario_impl(config, plan, schedule, Some(&rec), prepare)?;
     Ok((metrics, rec.take_log()))
 }
 
@@ -511,7 +492,7 @@ pub fn run_scenario_traced(
     storage: StoragePolicy,
 ) -> Result<(ScenarioMetrics, TraceLog), ScheduleError> {
     let rec = Rc::new(Recorder::new(storage));
-    let metrics = run_scenario_impl(config, plan, schedule, None, Some(&rec), |_| {})?;
+    let metrics = run_scenario_impl(config, plan, schedule, Some(&rec), |_| {})?;
     Ok((metrics, rec.take_log()))
 }
 
@@ -519,19 +500,10 @@ fn run_scenario_impl<F: FnOnce(&JpegEncoderSoc)>(
     config: &SocConfig,
     plan: &SocTestPlan,
     schedule: &Schedule,
-    quantum: Option<Duration>,
     recorder: Option<&Rc<Recorder>>,
     prepare: F,
 ) -> Result<ScenarioMetrics, ScheduleError> {
-    // `Simulation::from_env` honors `TVE_QUANTUM`: unset/0 is the default
-    // cycle-accurate mode (digest-stable, see `tests/kernel_digests.rs`);
-    // a nonzero quantum opts this scenario into loosely-timed temporal
-    // decoupling, where timings — and therefore digests — may differ.
-    // An explicit `quantum` sidesteps the environment entirely.
-    let mut sim = match quantum {
-        Some(q) => Simulation::with_quantum(q),
-        None => Simulation::from_env(),
-    };
+    let mut sim = Simulation::new();
     let soc = JpegEncoderSoc::build(&sim.handle(), config.clone());
     if let Some(rec) = recorder {
         soc.attach_recorder(rec);

@@ -561,11 +561,10 @@ mod tests {
     }
 
     #[test]
-    fn dmi_chain_grants_in_quantum_mode_and_revokes_on_wir_load() {
+    fn dmi_chain_grants_and_revokes_on_wir_load() {
         use tve_core::WrapperMode;
-        use tve_sim::Duration;
 
-        let mut sim = Simulation::with_quantum(Duration::cycles(4096));
+        let mut sim = Simulation::new();
         let soc = JpegEncoderSoc::build(&sim.handle(), SocConfig::small());
         let words = soc.config.memory_words;
         let bus = Rc::clone(&soc.bus);

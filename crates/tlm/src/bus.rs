@@ -301,12 +301,12 @@ impl BusTam {
         Duration::cycles(cycles)
     }
 
-    /// Cold half of the per-transfer bookkeeping: power-meter and
-    /// recorder updates for channels that attached either. Kept out of
-    /// line so the common (uninstrumented) transfer never touches the
-    /// two `Option` cells.
+    /// Cold half of the per-chunk bookkeeping: power-meter and recorder
+    /// updates for channels that attached either. Kept out of line so
+    /// the common (uninstrumented) transfer never touches the two
+    /// `Option` cells.
     #[cold]
-    fn record_instrumentation(&self, txn: &Transaction, start: Time, dur: Duration) {
+    fn record_instrumentation(&self, txn: &Transaction, bits: u64, start: Time, dur: Duration) {
         if let Some((meter, p)) = &*self.power.borrow() {
             meter.borrow_mut().record(start, dur, *p, &self.cfg.name);
         }
@@ -320,10 +320,10 @@ impl BusTam {
                     start + dur,
                 )
                 .with_initiator(txn.initiator.0)
-                .with_bits(txn.bit_len)
+                .with_bits(bits)
             });
             obs.transfers.inc();
-            obs.bits.add(txn.bit_len);
+            obs.bits.add(bits);
         }
     }
 
@@ -343,20 +343,11 @@ impl BusTam {
 
     /// Waits out a transfer's occupancy `dur` without suspending, if the
     /// kernel allows it ([`SimHandle::try_local_wait`]), and returns when
-    /// the busy interval starts. Accurate mode books it at the
-    /// pre-advance time, exactly where [`TamIf::transport`] does;
-    /// loosely-timed mode keeps its post-absorb booking (pinned by the
-    /// quantum digests).
+    /// the busy interval starts: the pre-advance time, exactly where
+    /// [`TamIf::transport`] books it.
     fn consume_occupancy(&self, dur: Duration) -> Option<Time> {
         let before = self.handle.now();
-        if !self.handle.try_local_wait(dur) {
-            return None;
-        }
-        Some(if self.handle.lt_active() {
-            self.handle.now()
-        } else {
-            before
-        })
+        self.handle.try_local_wait(dur).then_some(before)
     }
 
     fn lookup(&self, addr: u32) -> Option<Rc<dyn TamIf>> {
@@ -459,31 +450,12 @@ impl TamIf for BusTam {
                 };
                 self.arbiter.acquire(txn.initiator).await;
                 let dur = self.occupancy_of(chunk);
+                let start = self.handle.now();
                 self.monitor
                     .borrow_mut()
-                    .record_busy(self.handle.now(), dur, txn.initiator);
+                    .record_busy(start, dur, txn.initiator);
                 if self.instrumented.get() {
-                    if let Some((meter, p)) = &*self.power.borrow() {
-                        meter
-                            .borrow_mut()
-                            .record(self.handle.now(), dur, *p, &self.cfg.name);
-                    }
-                    if let Some(obs) = &*self.recorder.borrow() {
-                        let start = self.handle.now();
-                        obs.rec.record_with(|| {
-                            SpanRecord::new(
-                                SpanKind::Transfer,
-                                self.cfg.name.as_str(),
-                                command_label(txn.cmd),
-                                start,
-                                start + dur,
-                            )
-                            .with_initiator(txn.initiator.0)
-                            .with_bits(chunk)
-                        });
-                        obs.transfers.inc();
-                        obs.bits.add(chunk);
-                    }
+                    self.record_instrumentation(txn, chunk, start, dur);
                 }
                 self.handle.wait(dur).await;
                 // Split-transaction semantics: the channel is released
@@ -507,70 +479,18 @@ impl TamIf for BusTam {
         })
     }
 
-    /// Loosely-timed fast path: a whole single-chunk transfer completes
-    /// synchronously when the bus is idle, the occupancy fits in the
-    /// calling task's quantum budget, and the routed target is itself
-    /// synchronous for this transaction.
-    fn transport_is_sync(&self, txn: &Transaction) -> bool {
-        // Cheapest gate first: always false in accurate mode.
-        if !self.handle.local_wait_fits(self.occupancy_of(txn.bit_len)) {
-            return false;
-        }
-        // Burst segmentation re-arbitrates between chunks; keep that on
-        // the event-driven path.
-        if self
-            .cfg
-            .max_burst_bits
-            .is_some_and(|mb| txn.bit_len > mb.max(1))
-        {
-            return false;
-        }
-        if !self.arbiter.is_idle() {
-            return false;
-        }
-        let targets = self.targets.borrow();
-        match self.route_index(&targets, txn.addr) {
-            Some(i) => targets[i].1.transport_is_sync(txn),
-            None => true, // the address-error path never suspends
-        }
-    }
-
-    fn transport_sync(&self, txn: &mut Transaction) {
-        let granted = self.arbiter.try_acquire(txn.initiator);
-        debug_assert!(granted, "transport_sync raced the arbiter");
-        let dur = self.occupancy_of(txn.bit_len);
-        let start = self.handle.now();
-        self.monitor
-            .borrow_mut()
-            .record_busy(start, dur, txn.initiator);
-        if self.instrumented.get() {
-            self.record_instrumentation(txn, start, dur);
-        }
-        let absorbed = self.handle.try_local_wait(dur);
-        debug_assert!(absorbed, "transport_sync wait no longer fits");
-        self.arbiter.release();
-        let targets = self.targets.borrow();
-        match self.route_index(&targets, txn.addr) {
-            Some(i) => targets[i].1.transport_sync(txn),
-            None => {
-                self.rejected.set(self.rejected.get() + 1);
-                txn.status = ResponseStatus::AddressError;
-            }
-        }
-    }
-
     /// Single-pass fast path: the gate checks and the transfer share one
     /// route lookup and one arbiter touch. The routed component runs
-    /// first so a decline leaves no trace on this channel; synchronous
-    /// targets never consume channel time, so the reordering is not
-    /// observable in the monitor or the local quantum budget.
+    /// first so a decline can refund the consumed occupancy and leave no
+    /// trace on this channel; synchronous targets never consume channel
+    /// time, so the reordering is not observable in the monitor.
     ///
-    /// In accurate mode the path needs the lone-runner advance to take
-    /// the occupancy without suspending, and declines on instrumented
-    /// channels: the power meter's floating-point sums depend on the
-    /// transactional record order (channel before target).
+    /// The path needs the lone-runner advance to take the occupancy
+    /// without suspending, and declines on instrumented channels: the
+    /// power meter's floating-point sums depend on the transactional
+    /// record order (channel before target).
     fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        if self.instrumented.get() && !self.handle.lt_active() {
+        if self.instrumented.get() {
             return false;
         }
         // Burst segmentation re-arbitrates between chunks; keep that on
@@ -604,9 +524,6 @@ impl TamIf for BusTam {
         self.monitor
             .borrow_mut()
             .record_busy(start, dur, txn.initiator);
-        if self.instrumented.get() {
-            self.record_instrumentation(txn, start, dur);
-        }
         self.arbiter.release();
         if routed.is_none() {
             self.rejected.set(self.rejected.get() + 1);
@@ -689,14 +606,13 @@ impl TamIf for SinkTarget {
     }
 
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
-        Box::pin(async move { self.transport_sync(txn) })
+        Box::pin(async move {
+            self.transport_sync_try(txn);
+        })
     }
 
-    fn transport_is_sync(&self, _txn: &Transaction) -> bool {
-        true // a sink consumes no time and never suspends
-    }
-
-    fn transport_sync(&self, txn: &mut Transaction) {
+    /// A sink consumes no time and never suspends: always completes.
+    fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
         self.transactions.set(self.transactions.get() + 1);
         self.bits.set(self.bits.get() + txn.bit_len);
         if matches!(txn.cmd, Command::Read | Command::WriteRead) && !txn.data.is_empty() {
@@ -705,6 +621,7 @@ impl TamIf for SinkTarget {
             txn.data = vec![0; (txn.bit_len as usize).div_ceil(32)];
         }
         txn.status = ResponseStatus::Ok;
+        true
     }
 }
 
@@ -958,6 +875,104 @@ mod tests {
         assert_eq!(rec.span_count(), 0);
         // Counters still count (they are cheap plain cells).
         assert_eq!(rec.metrics().counter("bus.transfers").get(), 1);
+    }
+
+    /// A target that declines every synchronous transfer, counting the
+    /// declines, and completes the event-driven one after `latency`.
+    struct DecliningTarget {
+        handle: SimHandle,
+        latency: Duration,
+        declines: Cell<u64>,
+    }
+
+    impl TamIf for DecliningTarget {
+        fn name(&self) -> &str {
+            "declining"
+        }
+
+        fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()> {
+            Box::pin(async move {
+                self.handle.wait(self.latency).await;
+                txn.status = ResponseStatus::Ok;
+            })
+        }
+
+        fn transport_sync_try(&self, _txn: &mut Transaction) -> bool {
+            self.declines.set(self.declines.get() + 1);
+            false
+        }
+    }
+
+    #[test]
+    fn declined_sync_transfer_is_refunded_to_the_event_driven_result() {
+        /// One 32-bit write through the bus to a [`DecliningTarget`],
+        /// optionally with a ticker task due every cycle until the write
+        /// is done, which keeps every wait on the event path. Returns the
+        /// completion time, the write's own fired timed waits (the
+        /// ticker's are subtracted), the monitor's transfer count and
+        /// busy cycles, whether the arbiter ended idle, and the target's
+        /// decline count.
+        fn write_once(with_ticker: bool) -> ((Time, u64, u64, u64, bool), u64) {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let bus = Rc::new(BusTam::new(&h, BusConfig::default()));
+            let target = Rc::new(DecliningTarget {
+                handle: h.clone(),
+                latency: Duration::cycles(3),
+                declines: Cell::new(0),
+            });
+            bus.bind(
+                AddrRange::new(0x1000, 0x10),
+                Rc::clone(&target) as Rc<dyn TamIf>,
+            )
+            .unwrap();
+            let done = Rc::new(Cell::new(false));
+            let ticks = Rc::new(Cell::new(0u64));
+            let jh = {
+                let (b, h, done) = (Rc::clone(&bus), h.clone(), Rc::clone(&done));
+                sim.spawn(async move {
+                    b.write(InitiatorId(0), 0x1000, &[7], 32).await.unwrap();
+                    done.set(true);
+                    h.now()
+                })
+            };
+            if with_ticker {
+                let ticks = Rc::clone(&ticks);
+                sim.spawn(async move {
+                    while !done.get() {
+                        h.wait(Duration::cycles(1)).await;
+                        ticks.set(ticks.get() + 1);
+                    }
+                });
+            }
+            sim.run();
+            let m = bus.monitor();
+            let observed = (
+                jh.try_take().expect("write completed"),
+                sim.kernel_stats().1 - ticks.get(),
+                m.transfer_count(),
+                m.total_busy_cycles(),
+                bus.arbiter.is_idle(),
+            );
+            (observed, target.declines.get())
+        }
+
+        let (lone, lone_declines) = write_once(false);
+        let (reference, reference_declines) = write_once(true);
+        // 2 cycles of bus occupancy, then the target's 3 cycles.
+        assert_eq!(reference, (Time::from_cycles(5), 2, 1, 2, true));
+        assert_eq!(
+            lone, reference,
+            "the refund restores the event-driven result"
+        );
+        assert_eq!(
+            lone_declines, 1,
+            "the lone write consumed the occupancy, was declined and refunded"
+        );
+        assert_eq!(
+            reference_declines, 0,
+            "with the ticker the bus declines before probing the target"
+        );
     }
 
     #[test]

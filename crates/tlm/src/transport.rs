@@ -53,53 +53,19 @@ pub trait TamIf {
     /// reads) and `status`, and consuming simulated time for the transfer.
     fn transport<'a>(&'a self, txn: &'a mut Transaction) -> LocalBoxFuture<'a, ()>;
 
-    /// Whether [`TamIf::transport_sync`] could complete `txn` right now
-    /// without suspending the calling process. Must be side-effect free.
+    /// Attempts the synchronous fast path: when `txn` can complete
+    /// without suspending the calling process, performs it — with
+    /// exactly the side effects and simulated-time cost of awaiting
+    /// [`TamIf::transport`] — and returns `true`; otherwise leaves `txn`
+    /// and the component untouched and returns `false`.
     ///
-    /// This is the loosely-timed fast path: when the channel's occupancy
-    /// fits in the calling task's quantum budget
-    /// ([`tve_sim::SimHandle::local_wait_fits`]) and no arbitration or
-    /// back-pressure would block, the whole transaction — channel, routing,
-    /// target — runs as one synchronous call with no future allocation. In
-    /// the default accurate mode a channel always answers `false` here
-    /// (its accurate-mode fast path is [`TamIf::transport_sync_try`]).
-    /// Components opt in; the default declines.
-    fn transport_is_sync(&self, txn: &Transaction) -> bool {
+    /// A channel's occupancy completes in place only when the calling
+    /// task is alone until the transfer ends
+    /// ([`tve_sim::SimHandle::try_local_wait`]), so the result is the
+    /// event-driven one. Components opt in; the default declines.
+    fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
         let _ = txn;
         false
-    }
-
-    /// Completes `txn` synchronously, with exactly the side effects and
-    /// simulated-time cost of awaiting [`TamIf::transport`].
-    ///
-    /// Only call when [`TamIf::transport_is_sync`] just returned `true`
-    /// with no intervening simulation activity.
-    fn transport_sync(&self, txn: &mut Transaction) {
-        let _ = txn;
-        unreachable!("transport_sync called without transport_is_sync")
-    }
-
-    /// Attempts the synchronous fast path in one call: when `txn` can
-    /// complete without suspending, performs it (with all the side
-    /// effects of [`TamIf::transport_sync`]) and returns `true`;
-    /// otherwise leaves `txn` and the component untouched and returns
-    /// `false`.
-    ///
-    /// The default composes the two-step check-then-do pair. Channels
-    /// override it to fuse the gate checks with the transfer — one
-    /// route lookup, one arbiter touch — because at memory-test op
-    /// rates the duplicate walk is measurable. A channel's override also
-    /// serves the accurate mode: there its occupancy completes in place
-    /// only when the calling task is alone until the transfer ends
-    /// ([`tve_sim::SimHandle::try_local_wait`]), so the result is the
-    /// event-driven one.
-    fn transport_sync_try(&self, txn: &mut Transaction) -> bool {
-        if self.transport_is_sync(txn) {
-            self.transport_sync(txn);
-            true
-        } else {
-            false
-        }
     }
 
     /// Requests a direct-memory-interface grant over the word window
@@ -136,8 +102,8 @@ pub trait TamIf {
 ///
 /// Both operations are *fallible per call*: a `None` / `false` return
 /// declines the single operation (revoked grant after a WIR load, bus
-/// contention, exhausted quantum budget, another process due to act
-/// within the access in accurate mode, instrumentation attached) with
+/// contention, another process due to act within the access,
+/// instrumentation attached) with
 /// no side effects, and the caller must perform that operation through
 /// the regular transactional path instead. A successful call has
 /// exactly the observable effects of the equivalent single-word
@@ -240,7 +206,7 @@ pub trait TamIfExt: TamIf {
     }
 
     /// Transports `txn`, taking the synchronous fast path when the
-    /// component offers it ([`TamIf::transport_is_sync`]).
+    /// component completes it in place ([`TamIf::transport_sync_try`]).
     fn do_transport<'a>(&'a self, txn: &'a mut Transaction) -> impl Future<Output = ()> + 'a {
         async move {
             if !self.transport_sync_try(txn) {

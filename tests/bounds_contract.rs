@@ -1,7 +1,7 @@
 //! The soundness contract of the certified static bounds.
 //!
-//! **Soundness**: for every generated (SoC config × plan × schedule ×
-//! quantum), the simulated `ScenarioMetrics` lands inside the static
+//! **Soundness**: for every generated (SoC config × plan × schedule),
+//! the simulated `ScenarioMetrics` lands inside the static
 //! [`ScheduleEnvelope`] — total cycles, per-TAM-channel busy cycles and
 //! (when the power model is on) peak windowed power. Both TAM backends are
 //! exercised in every case: the generated schedules always contain the
@@ -18,10 +18,7 @@ use tve::lint::{observe_metrics, schedule_envelope, soc_facts, task_bounds};
 use tve::sched::{
     enumerate_schedules, estimate_tasks, explore_certified, CertifiedOutcome, Constraints,
 };
-use tve::sim::Duration;
-use tve::soc::{
-    paper_schedules, run_scenario, run_scenario_quantum, PowerParams, SocConfig, SocTestPlan,
-};
+use tve::soc::{paper_schedules, run_scenario, PowerParams, SocConfig, SocTestPlan};
 use tve::tlm::ArbiterPolicy;
 use tve::tpg::ScanConfig;
 
@@ -126,26 +123,19 @@ fn generate_schedule(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // The tentpole contract: simulation always lands inside the envelope,
-    // in accurate mode and at every loosely-timed quantum.
+    // The tentpole contract: simulation always lands inside the envelope.
     #[test]
-    fn simulation_lands_inside_the_static_envelope(seed in any::<u64>(), q_idx in 0usize..4) {
-        let quantum = [0u64, 64, 1024, 4096][q_idx];
+    fn simulation_lands_inside_the_static_envelope(seed in any::<u64>()) {
         let mut rng = SplitMix64(seed);
         let (cfg, plan) = generate_workload(&mut rng);
         let schedule = generate_schedule(&mut rng, &cfg, &plan, format!("gen {seed:#x}"));
-        let env = schedule_envelope(&cfg, &plan, &schedule, quantum);
-        let metrics = if quantum == 0 {
-            run_scenario(&cfg, &plan, &schedule)
-        } else {
-            run_scenario_quantum(&cfg, &plan, &schedule, Duration::cycles(quantum))
-        }
-        .expect("conflict-free schedules execute");
-        let obs = observe_metrics(&metrics, &task_bounds(&cfg, &plan, quantum));
+        let env = schedule_envelope(&cfg, &plan, &schedule);
+        let metrics = run_scenario(&cfg, &plan, &schedule).expect("conflict-free schedules execute");
+        let obs = observe_metrics(&metrics, &task_bounds(&cfg, &plan));
         let violations = env.check(&obs);
         prop_assert!(
             violations.is_empty(),
-            "envelope violated for {:?} (quantum {quantum}):\n{}",
+            "envelope violated for {:?}:\n{}",
             schedule.phases,
             violations.join("\n")
         );
@@ -200,30 +190,23 @@ proptest! {
 }
 
 #[test]
-fn paper_workload_sits_inside_its_envelopes_accurate_and_quantum() {
+fn paper_workload_sits_inside_its_envelopes() {
     // The reference workload at reduced pattern counts (and a matching
-    // memory reduction, as the bench preset does), both TAM backends,
-    // accurate and loosely-timed — the concrete anchor for the proptests.
+    // memory reduction, as the bench preset does), both TAM backends —
+    // the concrete anchor for the proptests.
     let mut cfg = SocConfig::paper();
     cfg.memory_words = 2622;
     let plan = SocTestPlan::paper_scaled(200);
-    for quantum in [0u64, 1024] {
-        for schedule in paper_schedules() {
-            let env = schedule_envelope(&cfg, &plan, &schedule, quantum);
-            let metrics = if quantum == 0 {
-                run_scenario(&cfg, &plan, &schedule)
-            } else {
-                run_scenario_quantum(&cfg, &plan, &schedule, Duration::cycles(quantum))
-            }
-            .unwrap();
-            let obs = observe_metrics(&metrics, &task_bounds(&cfg, &plan, quantum));
-            let violations = env.check(&obs);
-            assert!(
-                violations.is_empty(),
-                "{} (quantum {quantum}):\n{}",
-                schedule.name,
-                violations.join("\n")
-            );
-        }
+    for schedule in paper_schedules() {
+        let env = schedule_envelope(&cfg, &plan, &schedule);
+        let metrics = run_scenario(&cfg, &plan, &schedule).unwrap();
+        let obs = observe_metrics(&metrics, &task_bounds(&cfg, &plan));
+        let violations = env.check(&obs);
+        assert!(
+            violations.is_empty(),
+            "{}:\n{}",
+            schedule.name,
+            violations.join("\n")
+        );
     }
 }

@@ -4,9 +4,9 @@
 //! any shipped scenario *computes*: these digests were recorded on the
 //! pre-rework Rc/RefCell + `BinaryHeap` kernel and are pinned as
 //! constants. Every future kernel change has to reproduce them byte for
-//! byte in the default (cycle-accurate) mode. Only the opt-in
-//! loosely-timed quantum mode (`TVE_QUANTUM` / `Simulation::with_quantum`)
-//! is allowed to diverge, and it is never enabled here.
+//! byte; the kernel's only timing mode is cycle-accurate. The fast paths
+//! layered on it since (lone-runner advance, bus synchronous transfer,
+//! DMI grants for memory marches) are held to the same digests.
 //!
 //! Pinned surfaces:
 //! * the four Table I schedules at the benchmark workload
@@ -19,11 +19,7 @@
 use tve::campaign::{generate, run_campaign, CampaignConfig, PopulationSpec};
 use tve::obs::StoragePolicy;
 use tve::sched::Farm;
-use tve::sim::Duration;
-use tve::soc::{
-    paper_schedules, run_scenario, run_scenario_quantum, run_scenario_traced, SocConfig,
-    SocTestPlan,
-};
+use tve::soc::{paper_schedules, run_scenario, run_scenario_traced, SocConfig, SocTestPlan};
 
 /// Digests of schedules 1-4 on the benchmark workload, recorded on the
 /// pre-rework kernel (commit f665d55 lineage). Do not update these to
@@ -39,19 +35,6 @@ const TABLE1_DIGESTS: [u64; 4] = [
 /// FNV-1a digest of the campaign matrix CSV for the pinned population
 /// below, recorded on the pre-rework kernel.
 const CAMPAIGN_CSV_DIGEST: u64 = 0x09239e0fc894db27;
-
-/// Digests of schedules 1-4 on the benchmark workload in loosely-timed
-/// mode with a 1024-cycle quantum, recorded *before* the DMI fast path
-/// for memory marches existed. DMI skips the per-op transactional chain
-/// but must replicate every observable side effect (simulated time, bus
-/// utilization, power, counters) exactly, so these digests are pinned:
-/// a mismatch means the DMI path diverged from the transactional one.
-const QUANTUM_1024_DIGESTS: [u64; 4] = [
-    0x572dc3e2a3afbe29,
-    0xffa1d33ae1a86a69,
-    0xb61a4dd285f7c1c8,
-    0xa5aed2cd5ed4c260,
-];
 
 fn bench_workload() -> (SocConfig, SocTestPlan) {
     let mut config = SocConfig::paper();
@@ -89,31 +72,6 @@ fn table1_digests_are_pinned() {
         got,
         TABLE1_DIGESTS.to_vec(),
         "kernel rework changed default-mode scenario results"
-    );
-}
-
-#[test]
-fn quantum_digests_are_pinned_across_dmi() {
-    let (config, plan) = bench_workload();
-    let got: Vec<u64> = paper_schedules()
-        .iter()
-        .map(|s| {
-            run_scenario_quantum(&config, &plan, s, Duration::cycles(1024))
-                .expect("well-formed")
-                .digest()
-        })
-        .collect();
-    println!(
-        "quantum-1024 digests: [{}]",
-        got.iter()
-            .map(|d| format!("{d:#018x}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    assert_eq!(
-        got,
-        QUANTUM_1024_DIGESTS.to_vec(),
-        "the loosely-timed DMI fast path changed quantum-mode results"
     );
 }
 

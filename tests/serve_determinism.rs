@@ -159,8 +159,8 @@ fn bounds_reports_are_byte_identical_served_or_computed_locally() {
     let workload = Workload::small();
 
     // The served report must be the exact bytes of the local pure
-    // computation: same config, plan, schedules and (accurate) quantum
-    // through the same `bounds_reports_to_json` renderer.
+    // computation: same config, plan and schedules through the same
+    // `bounds_reports_to_json` renderer.
     let (config, plan) = workload.build();
     let schedules: Vec<_> = tve::soc::paper_schedules().into_iter().collect();
     let local = tve::lint::bounds_reports_to_json(&tve::lint::schedule_envelopes(

@@ -64,8 +64,8 @@ proptest! {
         for schedule in &paper_schedules() {
             let affected = impact.affected_schedules.contains(&schedule.name);
             for fault in ["golden", "scan:processor:3"] {
-                let before = cell_key(&config, &plan, schedule, fault, "");
-                let after = cell_key(&config, &edited_plan, schedule, fault, "");
+                let before = cell_key(&config, &plan, schedule, fault);
+                let after = cell_key(&config, &edited_plan, schedule, fault);
                 if affected {
                     prop_assert!(
                         before != after,
@@ -105,7 +105,7 @@ proptest! {
             let mask = test_mask(&schedule_tests(schedule));
             let affected = impact.affected_schedules.contains(&schedule.name);
             for fault in ["golden", "scan:processor:3", "mem:word:7"] {
-                let key = cell_key(&config, &plan, schedule, fault, "");
+                let key = cell_key(&config, &plan, schedule, fault);
                 cache.insert(key, stand_in(), mask);
                 keys.push((key, affected));
             }
