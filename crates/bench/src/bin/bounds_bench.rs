@@ -15,90 +15,29 @@
 //!
 //! `--out` (default `target/BENCH_static_bounds.json`) is the fresh
 //! snapshot; pass `--out BENCH_static_bounds.json` to re-record the
-//! committed baseline. `--check` additionally gates every deterministic
-//! scalar against the committed baseline at ±25% — candidate counts,
-//! pruning fraction and front size are bit-deterministic, so any drift
-//! means the analysis or the dominance rule changed, not the machine.
-//! Wall-clocks are recorded for trend reading but never gated.
-//! `--quick` shrinks the workload and skips the baseline gate (the
-//! exactness assertions still run).
+//! committed baseline. `--check` additionally gates the snapshot against
+//! the committed baseline through `tve_bench::gate`: candidate counts,
+//! pruning fraction and front size are bit-deterministic and must match
+//! exactly, so any drift means the analysis or the dominance rule
+//! changed, not the machine. Wall-clocks are recorded for trend reading
+//! but never gated. `--quick` shrinks the workload and skips the
+//! baseline gate (the exactness assertions still run).
 
-use std::path::Path;
 use std::time::Instant;
 
-use tve_bench::write_artifact;
+use tve_bench::gate::{Gate, Snapshot};
 use tve_core::Schedule;
 use tve_sched::{enumerate_schedules, estimate_tasks, explore_certified, Constraints};
 use tve_soc::{paper_schedules, SocConfig, SocTestPlan};
-
-/// Pulls `"key": <number>` out of the snapshot JSON (keys are unique in
-/// the format this bin writes).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 fn fail(message: &str) -> ! {
     eprintln!("bounds_bench FAILED: {message}");
     std::process::exit(1);
 }
 
-struct Snapshot {
-    candidates: usize,
-    simulated: usize,
-    pruned: usize,
-    front_size: usize,
-    analysis_us_per_candidate: f64,
-    exhaustive_wall_s: f64,
-    certified_wall_s: f64,
-}
-
-impl Snapshot {
-    fn pruned_fraction(&self) -> f64 {
-        self.pruned as f64 / self.candidates as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"tve-static-bounds-bench/1\",\n  \
-             \"candidates\": {},\n  \"simulated\": {},\n  \
-             \"pruned\": {},\n  \"pruned_fraction\": {:.6},\n  \
-             \"front_size\": {},\n  \"front_identical\": true,\n  \
-             \"violations\": 0,\n  \
-             \"analysis_us_per_candidate\": {:.3},\n  \
-             \"exhaustive_wall_s\": {:.4},\n  \"certified_wall_s\": {:.4}\n}}\n",
-            self.candidates,
-            self.simulated,
-            self.pruned,
-            self.pruned_fraction(),
-            self.front_size,
-            self.analysis_us_per_candidate,
-            self.exhaustive_wall_s,
-            self.certified_wall_s,
-        )
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "target/BENCH_static_bounds.json".into());
-    let check = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_static_bounds.json".into())
-    });
+    let quick = std::env::args().any(|a| a == "--quick");
+    let gate = Gate::from_args("bounds_bench", "BENCH_static_bounds.json", quick);
 
     // The bench SoC: the paper workload at reduced pattern counts (and
     // a matching memory reduction, as the bench preset does) so each
@@ -159,93 +98,33 @@ fn main() {
         println!("  {proof}");
     }
 
-    let snap = Snapshot {
-        candidates: certified.candidates.len(),
-        simulated: certified.simulated(),
-        pruned: certified.pruned(),
-        front_size: certified.front_points().len(),
-        analysis_us_per_candidate: certified.analysis_ns as f64
-            / 1e3
-            / certified.candidates.len() as f64,
-        exhaustive_wall_s,
-        certified_wall_s,
-    };
+    let candidates = certified.candidates.len();
+    let pruned = certified.pruned();
+    let pruned_fraction = pruned as f64 / candidates as f64;
+    let analysis_us_per_candidate = certified.analysis_ns as f64 / 1e3 / candidates as f64;
     println!(
-        "payoff: {} of {} candidates pruned without simulation ({:.0}%), \
-         analysis {:.1} us/candidate, wall {:.2}s vs {:.2}s exhaustive",
-        snap.pruned,
-        snap.candidates,
-        snap.pruned_fraction() * 100.0,
-        snap.analysis_us_per_candidate,
-        certified_wall_s,
-        exhaustive_wall_s
+        "payoff: {pruned} of {candidates} candidates pruned without simulation ({:.0}%), \
+         analysis {analysis_us_per_candidate:.1} us/candidate, \
+         wall {certified_wall_s:.2}s vs {exhaustive_wall_s:.2}s exhaustive",
+        pruned_fraction * 100.0,
     );
-    if !quick && snap.pruned_fraction() < 0.30 {
+    if !quick && pruned_fraction < 0.30 {
         fail(&format!(
-            "pruned fraction {:.2} below the 30% acceptance bound",
-            snap.pruned_fraction()
+            "pruned fraction {pruned_fraction:.2} below the 30% acceptance bound"
         ));
     }
 
-    // Read the baseline before writing: with `--out
-    // BENCH_static_bounds.json` they are the same file.
-    let baseline_text =
-        check
-            .as_ref()
-            .filter(|_| !quick)
-            .map(|path| match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {path}: {e}");
-                    std::process::exit(2);
-                }
-            });
-
-    write_artifact(Path::new(&out), &snap.to_json());
-    println!("wrote {out}");
-
-    let Some(baseline_path) = check else { return };
-    if quick {
-        println!("--quick: skipping baseline gate");
-        return;
-    }
-    let baseline_text = baseline_text.expect("baseline read above when checking");
-    let mut failures = Vec::new();
-
-    // Every gated scalar is bit-deterministic, so the ±25% band is pure
-    // headroom for intentional pool re-sizing — real drift means the
-    // envelopes or the dominance rule changed.
-    let tracked = [
-        ("candidates", snap.candidates as f64),
-        ("simulated", snap.simulated as f64),
-        ("pruned", snap.pruned as f64),
-        ("pruned_fraction", snap.pruned_fraction()),
-        ("front_size", snap.front_size as f64),
-    ];
-    for (key, got) in tracked {
-        let Some(want) = json_f64(&baseline_text, key) else {
-            failures.push(format!("baseline {baseline_path} lacks key {key}"));
-            continue;
-        };
-        let drift = (got - want).abs() / want.abs().max(1e-9);
-        if drift > 0.25 {
-            failures.push(format!(
-                "{key}: measured {got:.4} vs baseline {want:.4} ({:+.0}% drift, tolerance ±25%)",
-                (got - want) / want * 100.0
-            ));
-        }
-    }
-
-    if failures.is_empty() {
-        println!(
-            "bounds gate: OK (all metrics within ±25% of {baseline_path}, \
-             front identical, >=30% pruned)"
-        );
-    } else {
-        eprintln!("bounds gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    let mut snap = Snapshot::new();
+    snap.text("schema", "tve-static-bounds-bench/1")
+        .exact("candidates", candidates as f64, 0)
+        .exact("simulated", certified.simulated() as f64, 0)
+        .exact("pruned", pruned as f64, 0)
+        .exact("pruned_fraction", pruned_fraction, 6)
+        .exact("front_size", certified.front_points().len() as f64, 0)
+        .flag("front_identical", true)
+        .exact("violations", certified.violations.len() as f64, 0)
+        .record("analysis_us_per_candidate", analysis_us_per_candidate, 3)
+        .record("exhaustive_wall_s", exhaustive_wall_s, 4)
+        .record("certified_wall_s", certified_wall_s, 4);
+    gate.finish(&snap);
 }

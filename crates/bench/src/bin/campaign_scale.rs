@@ -21,16 +21,18 @@
 //!
 //! `--out` (default `target/BENCH_campaign_scale.json`) is the fresh
 //! snapshot; pass `--out BENCH_campaign_scale.json` to re-record the
-//! committed baseline. `--check` additionally gates every deterministic
-//! scalar against the committed baseline at ±25% — the counts and
-//! estimates are bit-deterministic, so any drift means the campaign
-//! semantics changed, not the machine. Wall-clocks are recorded for
-//! trend reading but never gated. `--quick` shrinks the workload and
-//! skips the baseline gate (the equivalence assertions still run).
+//! committed baseline. `--check` additionally gates the snapshot against
+//! the committed baseline through `tve_bench::gate`: the counts and
+//! estimates are bit-deterministic under any `TVE_JOBS` and must match
+//! exactly, so any drift means the campaign semantics changed, not the
+//! machine. Wall-clocks are recorded for trend reading but never gated.
+//! `--quick` shrinks the workload and skips the baseline gate (the
+//! equivalence assertions still run).
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use tve_bench::gate::{Gate, Snapshot};
 use tve_bench::write_artifact;
 use tve_campaign::{
     generate, merge_shards, run_campaign, run_campaign_journaled, run_campaign_shard,
@@ -39,86 +41,9 @@ use tve_campaign::{
 use tve_sched::Farm;
 use tve_soc::Workload;
 
-/// Pulls `"key": <number>` out of the snapshot JSON (keys are unique in
-/// the format this bin writes).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn fail(message: &str) -> ! {
     eprintln!("campaign_scale FAILED: {message}");
     std::process::exit(1);
-}
-
-struct Snapshot {
-    shard_cells: usize,
-    shard_count: usize,
-    unsharded_wall_s: f64,
-    sharded_wall_s: f64,
-    resume_records_kept: usize,
-    resume_resumed_cells: usize,
-    resume_simulated_cells: usize,
-    sampling_budget_faults: usize,
-    sampling_spent_cells: usize,
-    sampling_coverage: f64,
-    sampling_ci_low: f64,
-    sampling_ci_high: f64,
-    sampling_truth: f64,
-    guided_total_cells: usize,
-    guided_budget_cells: usize,
-    guided_spent_cells: usize,
-    guided_escapes_true: usize,
-    guided_escapes_found: usize,
-}
-
-impl Snapshot {
-    fn guided_budget_fraction(&self) -> f64 {
-        self.guided_spent_cells as f64 / self.guided_total_cells as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"tve-campaign-scale-bench/1\",\n  \"shard\": {{\n    \
-             \"cells\": {},\n    \"shards\": {},\n    \
-             \"unsharded_wall_s\": {:.4},\n    \"sharded_wall_s\": {:.4},\n    \
-             \"identical\": true\n  }},\n  \"resume\": {{\n    \
-             \"records_kept\": {},\n    \"resumed_cells\": {},\n    \
-             \"resimulated_cells\": {},\n    \"identical\": true\n  }},\n  \
-             \"sampling\": {{\n    \"budget_faults\": {},\n    \
-             \"spent_cells\": {},\n    \"coverage\": {:.6},\n    \
-             \"ci_low\": {:.6},\n    \"ci_high\": {:.6},\n    \
-             \"truth\": {:.6},\n    \"contained\": true\n  }},\n  \
-             \"guided\": {{\n    \"total_cells\": {},\n    \
-             \"budget_cells\": {},\n    \"guided_spent_cells\": {},\n    \
-             \"budget_fraction\": {:.6},\n    \"escapes_true\": {},\n    \
-             \"escapes_found\": {},\n    \"recovered\": true\n  }}\n}}\n",
-            self.shard_cells,
-            self.shard_count,
-            self.unsharded_wall_s,
-            self.sharded_wall_s,
-            self.resume_records_kept,
-            self.resume_resumed_cells,
-            self.resume_simulated_cells,
-            self.sampling_budget_faults,
-            self.sampling_spent_cells,
-            self.sampling_coverage,
-            self.sampling_ci_low,
-            self.sampling_ci_high,
-            self.sampling_truth,
-            self.guided_total_cells,
-            self.guided_budget_cells,
-            self.guided_spent_cells,
-            self.guided_budget_fraction(),
-            self.guided_escapes_true,
-            self.guided_escapes_found,
-        )
-    }
 }
 
 fn campaign_config(mem_words: u32, spec: PopulationSpec) -> CampaignConfig {
@@ -131,20 +56,8 @@ fn campaign_config(mem_words: u32, spec: PopulationSpec) -> CampaignConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "target/BENCH_campaign_scale.json".into());
-    let check = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_campaign_scale.json".into())
-    });
+    let quick = std::env::args().any(|a| a == "--quick");
+    let mut gate = Gate::from_args("campaign_scale", "BENCH_campaign_scale.json", quick);
 
     let (faults, mem_words) = if quick { (2, 64) } else { (4, 128) };
     let farm = Farm::new();
@@ -303,42 +216,44 @@ fn main() {
         guided.spent_cells as f64 / total_cells as f64 * 100.0
     );
 
-    let snap = Snapshot {
-        shard_cells: cells,
-        shard_count,
-        unsharded_wall_s,
-        sharded_wall_s,
-        resume_records_kept: records_kept,
-        resume_resumed_cells: resume.resumed_cells,
-        resume_simulated_cells: resume.simulated_cells,
-        sampling_budget_faults: budget_faults,
-        sampling_spent_cells: sampled.spent_cells,
-        sampling_coverage: estimate.coverage,
-        sampling_ci_low: estimate.ci_low,
-        sampling_ci_high: estimate.ci_high,
-        sampling_truth: truth,
-        guided_total_cells: total_cells,
-        guided_budget_cells: budget_cells,
-        guided_spent_cells: guided.spent_cells,
-        guided_escapes_true: escapes_true.len(),
-        guided_escapes_found: escapes_found.len(),
-    };
+    let guided_budget_fraction = guided.spent_cells as f64 / total_cells as f64;
+    if guided_budget_fraction > 0.5 {
+        gate.fail(format!(
+            "guided selector needed {:.0}% of the cell budget (acceptance bound: 50%)",
+            guided_budget_fraction * 100.0
+        ));
+    }
 
-    // Read the baseline before writing: with `--out
-    // BENCH_campaign_scale.json` they are the same file.
-    let baseline_text =
-        check
-            .as_ref()
-            .filter(|_| !quick)
-            .map(|path| match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {path}: {e}");
-                    std::process::exit(2);
-                }
-            });
+    let mut snap = Snapshot::new();
+    snap.text("schema", "tve-campaign-scale-bench/1");
+    snap.section("shard")
+        .exact("cells", cells as f64, 0)
+        .exact("shards", shard_count as f64, 0)
+        .record("unsharded_wall_s", unsharded_wall_s, 4)
+        .record("sharded_wall_s", sharded_wall_s, 4)
+        .flag("identical", true);
+    snap.section("resume")
+        .exact("records_kept", records_kept as f64, 0)
+        .exact("resumed_cells", resume.resumed_cells as f64, 0)
+        .exact("resimulated_cells", resume.simulated_cells as f64, 0)
+        .flag("identical", true);
+    snap.section("sampling")
+        .exact("budget_faults", budget_faults as f64, 0)
+        .exact("spent_cells", sampled.spent_cells as f64, 0)
+        .exact("coverage", estimate.coverage, 6)
+        .exact("ci_low", estimate.ci_low, 6)
+        .exact("ci_high", estimate.ci_high, 6)
+        .exact("truth", truth, 6)
+        .flag("contained", true);
+    snap.section("guided")
+        .exact("total_cells", total_cells as f64, 0)
+        .exact("budget_cells", budget_cells as f64, 0)
+        .exact("guided_spent_cells", guided.spent_cells as f64, 0)
+        .exact("budget_fraction", guided_budget_fraction, 6)
+        .exact("escapes_true", escapes_true.len() as f64, 0)
+        .exact("escapes_found", escapes_found.len() as f64, 0)
+        .flag("recovered", true);
 
-    write_artifact(Path::new(&out), &snap.to_json());
     write_artifact(
         Path::new("target/campaign_scale_sampled.json"),
         &sampled.to_json(),
@@ -347,62 +262,5 @@ fn main() {
         Path::new("target/campaign_scale_guided.json"),
         &guided.to_json(),
     );
-    println!("wrote {out}");
-
-    let Some(baseline_path) = check else { return };
-    if quick {
-        println!("--quick: skipping baseline gate");
-        return;
-    }
-    let baseline_text = baseline_text.expect("baseline read above when checking");
-    let mut failures = Vec::new();
-
-    if snap.guided_budget_fraction() > 0.5 {
-        failures.push(format!(
-            "guided selector needed {:.0}% of the cell budget (acceptance bound: 50%)",
-            snap.guided_budget_fraction() * 100.0
-        ));
-    }
-
-    // Every gated scalar is bit-deterministic, so the ±25% band is pure
-    // headroom for intentional workload re-sizing — real drift means the
-    // campaign semantics changed.
-    let tracked = [
-        ("cells", snap.shard_cells as f64),
-        ("resumed_cells", snap.resume_resumed_cells as f64),
-        ("spent_cells", snap.sampling_spent_cells as f64),
-        ("coverage", snap.sampling_coverage),
-        ("ci_low", snap.sampling_ci_low),
-        ("ci_high", snap.sampling_ci_high),
-        ("truth", snap.sampling_truth),
-        ("guided_spent_cells", snap.guided_spent_cells as f64),
-        ("budget_fraction", snap.guided_budget_fraction()),
-        ("escapes_true", snap.guided_escapes_true as f64),
-        ("escapes_found", snap.guided_escapes_found as f64),
-    ];
-    for (key, got) in tracked {
-        let Some(want) = json_f64(&baseline_text, key) else {
-            failures.push(format!("baseline {baseline_path} lacks key {key}"));
-            continue;
-        };
-        let drift = (got - want).abs() / want.abs().max(1e-9);
-        if drift > 0.25 {
-            failures.push(format!(
-                "{key}: measured {got:.4} vs baseline {want:.4} ({:+.0}% drift, tolerance ±25%)",
-                (got - want) / want * 100.0
-            ));
-        }
-    }
-
-    if failures.is_empty() {
-        println!(
-            "scale gate: OK (all metrics within ±25% of {baseline_path}, acceptance bounds hold)"
-        );
-    } else {
-        eprintln!("scale gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    gate.finish(&snap);
 }

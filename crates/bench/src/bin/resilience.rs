@@ -34,16 +34,17 @@
 //!
 //! `--out` (default `target/BENCH_resilience.json`) is the fresh
 //! snapshot; pass `--out BENCH_resilience.json` to re-record the
-//! committed baseline. `--check` gates the deterministic scalars
-//! against the committed baseline at ±25% — they are all exact
-//! invariants (rates of 1.0, fixed scenario counts), so any drift means
-//! the degradation semantics changed. Latencies are recorded for trend
+//! committed baseline. `--check` gates the snapshot against the
+//! committed baseline through `tve_bench::gate`: the deterministic
+//! scalars are exact invariants (rates of 1.0, fixed scenario counts)
+//! and must match exactly, so any drift means the degradation semantics
+//! changed. Overload outcomes and latencies are recorded for trend
 //! reading; only the relative interactive-p50 bound is enforced.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use tve_bench::write_artifact;
+use tve_bench::gate::{Gate, Snapshot};
 use tve_campaign::{
     generate, merge_shards, run_campaign, run_campaign_journaled, run_campaign_journaled_with_io,
     CampaignConfig, PopulationSpec, ShardSpec,
@@ -174,30 +175,8 @@ fn journal_config() -> CampaignConfig {
     )
 }
 
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "target/BENCH_resilience.json".into());
-    let check = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_resilience.json".into())
-    });
+    let gate = Gate::from_args("resilience", "BENCH_resilience.json", false);
 
     // --- fault-free reference: every identity claim compares to this --
     let cache = PathBuf::from(format!("target/resilience-{}.cache", std::process::id()));
@@ -383,56 +362,22 @@ fn main() {
     println!("journal: OK — torn append failed loudly, resume byte-identical");
 
     // --- snapshot ------------------------------------------------------
-    // Deterministic scalars first (gated), latencies after (recorded).
+    // Deterministic scalars first (gated), overload outcomes and
+    // latencies after (recorded).
     let injection_sites = 6; // worker-panic, worker-slow, frame-corrupt,
                              // disconnect, snapshot-enospc, journal tear
     let identical_artifacts = 6; // panic, slow, frame, disconnect, enospc, journal
-    let snapshot = format!(
-        "{{\n  \"bench\": \"resilience\",\n  \"retry_success_rate\": 1.0,\n  \
-         \"typed_error_rate\": 1.0,\n  \"injection_sites\": {injection_sites},\n  \
-         \"identical_artifacts\": {identical_artifacts},\n  \"overload_submitted\": {submitted},\n  \
-         \"overload_completed\": {completed},\n  \"overload_shed\": {shed},\n  \
-         \"cancel_latency_ms\": {cancel_latency_ms:.3},\n  \
-         \"p50_unloaded_ms\": {p50_unloaded_ms:.3},\n  \"p50_loaded_ms\": {p50_loaded_ms:.3}\n}}\n"
-    );
-    write_artifact(Path::new(&out), &snapshot);
-    println!("wrote {out}");
-
-    // --- baseline gate -------------------------------------------------
-    let Some(baseline_path) = check else { return };
-    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read baseline {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let mut failures = Vec::new();
-    // Every gated scalar is an exact invariant; the ±25% band exists
-    // only so intentional scenario additions re-record cleanly.
-    let tracked = [
-        ("retry_success_rate", 1.0),
-        ("typed_error_rate", 1.0),
-        ("injection_sites", injection_sites as f64),
-        ("identical_artifacts", identical_artifacts as f64),
-        ("overload_submitted", submitted as f64),
-    ];
-    for (key, got) in tracked {
-        let Some(want) = json_f64(&baseline_text, key) else {
-            failures.push(format!("baseline {baseline_path} lacks key {key}"));
-            continue;
-        };
-        let drift = (got - want).abs() / want.abs().max(1e-9);
-        if drift > 0.25 {
-            failures.push(format!(
-                "{key}: measured {got:.4} vs baseline {want:.4} ({:+.0}% drift, tolerance ±25%)",
-                (got - want) / want * 100.0
-            ));
-        }
-    }
-    if failures.is_empty() {
-        println!("resilience gate: OK (all metrics within ±25% of {baseline_path})");
-    } else {
-        for failure in &failures {
-            eprintln!("resilience gate: {failure}");
-        }
-        std::process::exit(1);
-    }
+    let mut snap = Snapshot::new();
+    snap.text("bench", "resilience")
+        .exact("retry_success_rate", 1.0, 1)
+        .exact("typed_error_rate", 1.0, 1)
+        .exact("injection_sites", injection_sites as f64, 0)
+        .exact("identical_artifacts", identical_artifacts as f64, 0)
+        .exact("overload_submitted", submitted as f64, 0)
+        .record("overload_completed", completed as f64, 0)
+        .record("overload_shed", shed as f64, 0)
+        .record("cancel_latency_ms", cancel_latency_ms, 3)
+        .record("p50_unloaded_ms", p50_unloaded_ms, 3)
+        .record("p50_loaded_ms", p50_loaded_ms, 3);
+    gate.finish(&snap);
 }

@@ -11,8 +11,14 @@
 //!
 //! Criterion microbenchmarks live in `benches/` (kernel throughput, bus
 //! arbitration, pattern generation, march engine, scenario ablations).
+//!
+//! The snapshot bins (`kernel_bench`, `campaign_scale`, `bounds_bench`,
+//! `resilience`) write and gate their `BENCH_*.json` files through
+//! [`gate`].
 
 #![forbid(unsafe_code)]
+
+pub mod gate;
 
 use std::path::{Path, PathBuf};
 

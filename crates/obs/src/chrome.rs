@@ -12,32 +12,8 @@
 
 use std::io::{self, Write};
 
+use crate::json::append_json_string;
 use crate::recorder::TraceLog;
-
-/// Escapes `s` as the body of a JSON string literal.
-fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_json_into(&mut out, s);
-    out.push('"');
-    out
-}
 
 /// Writes `log` as Chrome trace-event JSON.
 ///
@@ -93,15 +69,14 @@ pub fn write_chrome_trace<W: Write>(log: &TraceLog, out: &mut W) -> io::Result<(
             .to_string(),
     )?;
     for (i, track) in tracks.iter().enumerate() {
-        emit(
-            out,
-            format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {}, \
-                 \"args\": {{\"name\": {}}}}}",
-                i + 1,
-                json_string(track)
-            ),
-        )?;
+        let mut line = format!(
+            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {}, \
+             \"args\": {{\"name\": ",
+            i + 1
+        );
+        append_json_string(&mut line, track);
+        line.push_str("}}");
+        emit(out, line)?;
     }
 
     for span in &log.spans {
@@ -114,32 +89,31 @@ pub fn write_chrome_trace<W: Write>(log: &TraceLog, out: &mut W) -> io::Result<(
         if let Some(initiator) = span.initiator {
             args.push_str(&format!(", \"initiator\": {initiator}"));
         }
-        emit(
-            out,
-            format!(
-                "{{\"name\": {}, \"cat\": {}, \"ph\": \"X\", \"pid\": 0, \"tid\": {}, \
-                 \"ts\": {}, \"dur\": {}, \"args\": {{{}}}}}",
-                json_string(&span.name),
-                json_string(span.kind.category()),
-                tid,
-                span.start.cycles(),
-                span.duration().as_cycles(),
-                args
-            ),
-        )?;
+        let mut line = String::from("{\"name\": ");
+        append_json_string(&mut line, &span.name);
+        line.push_str(", \"cat\": ");
+        append_json_string(&mut line, span.kind.category());
+        line.push_str(&format!(
+            ", \"ph\": \"X\", \"pid\": 0, \"tid\": {}, \"ts\": {}, \"dur\": {}, \
+             \"args\": {{{}}}}}",
+            tid,
+            span.start.cycles(),
+            span.duration().as_cycles(),
+            args
+        ));
+        emit(out, line)?;
     }
 
     for (name, value) in &log.counters {
-        emit(
-            out,
-            format!(
-                "{{\"name\": {}, \"cat\": \"counter\", \"ph\": \"C\", \"pid\": 0, \
-                 \"ts\": {}, \"args\": {{\"value\": {}}}}}",
-                json_string(name),
-                log.observed_end.cycles(),
-                value
-            ),
-        )?;
+        let mut line = String::from("{\"name\": ");
+        append_json_string(&mut line, name);
+        line.push_str(&format!(
+            ", \"cat\": \"counter\", \"ph\": \"C\", \"pid\": 0, \"ts\": {}, \
+             \"args\": {{\"value\": {}}}}}",
+            log.observed_end.cycles(),
+            value
+        ));
+        emit(out, line)?;
     }
 
     writeln!(out)?;

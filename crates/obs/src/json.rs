@@ -1,17 +1,15 @@
-//! A serde-free JSON well-formedness checker and value parser.
+//! A serde-free JSON parser with a well-formedness check on top.
 //!
-//! The exporters in this crate hand-format JSON; tests use
-//! [`check_json`] to prove the output is structurally valid without
-//! pulling a JSON parser dependency into the workspace. The checker is
-//! a strict recursive-descent validator for RFC 8259 documents: it
-//! accepts exactly one top-level value (plus whitespace) and rejects
-//! trailing garbage, unterminated strings, bad escapes and malformed
-//! numbers.
+//! [`parse_json`] reads one RFC 8259 document into a [`JsonValue`] tree
+//! so protocol layers (the `tve-serve` daemon wire format) and the bench
+//! gates can consume hand-formatted JSON without serde. It accepts
+//! exactly one top-level value (plus whitespace) and rejects trailing
+//! garbage, unterminated strings, bad escapes, unpaired surrogates and
+//! malformed numbers.
 //!
-//! [`parse_json`] is the reading half of the same grammar: it builds a
-//! [`JsonValue`] tree so protocol layers (the `tve-serve` daemon wire
-//! format) can consume hand-formatted JSON without serde either. Both
-//! halves accept exactly the same documents.
+//! [`check_json`] is the same grammar with the tree thrown away: the
+//! exporters in this crate hand-format JSON, and tests use it to prove
+//! the output is structurally valid.
 
 use std::fmt;
 
@@ -32,180 +30,6 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Checker<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Checker<'a> {
-    fn err(&self, message: impl Into<String>) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(format!("unexpected byte 0x{other:02x}"))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{word}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), JsonError> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(()),
-                _ => {
-                    self.pos -= usize::from(self.pos > 0);
-                    return Err(self.err("expected ',' or '}'"));
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), JsonError> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(()),
-                _ => {
-                    self.pos -= usize::from(self.pos > 0);
-                    return Err(self.err("expected ',' or ']'"));
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), JsonError> {
-        self.expect(b'"')?;
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(()),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
-                    Some(b'u') => {
-                        for _ in 0..4 {
-                            match self.bump() {
-                                Some(b) if b.is_ascii_hexdigit() => {}
-                                _ => return Err(self.err("bad \\u escape")),
-                            }
-                        }
-                    }
-                    _ => return Err(self.err("bad escape")),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {}
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), JsonError> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
-            }
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("expected digit")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("expected digit after '.'"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("expected exponent digit"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Checks that `text` is exactly one well-formed JSON document.
 ///
 /// ```
@@ -216,16 +40,7 @@ impl<'a> Checker<'a> {
 /// assert!(check_json("{} trailing").is_err());
 /// ```
 pub fn check_json(text: &str) -> Result<(), JsonError> {
-    let mut c = Checker {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    c.value()?;
-    c.skip_ws();
-    if c.pos != c.bytes.len() {
-        return Err(c.err("trailing data after document"));
-    }
-    Ok(())
+    parse_json(text).map(|_| ())
 }
 
 /// One parsed JSON value.
@@ -506,15 +321,39 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        // Reuse the checker for the grammar, then parse the span.
-        let mut c = Checker {
-            bytes: self.bytes,
-            pos: self.pos,
-        };
-        c.number()?;
-        self.pos = c.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(self.err("expected digit")),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("expected digit after '.'"));
+            }
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("expected exponent digit"));
+            }
+            self.digits();
+        }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number span is ASCII by construction");
         text.parse::<f64>()
@@ -524,8 +363,6 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses exactly one well-formed JSON document into a [`JsonValue`].
-///
-/// Accepts the same language as [`check_json`].
 ///
 /// ```
 /// use tve_obs::{parse_json, JsonValue};
@@ -625,6 +462,8 @@ mod tests {
             "nul",
             "{} {}",
             "[1] x",
+            r#""\ud83d""#,
+            r#""\udc00""#,
         ] {
             assert!(check_json(doc).is_err(), "accepted {doc:?}");
         }
@@ -664,25 +503,6 @@ mod tests {
         assert_eq!(v.as_str(), Some("café 😀 déjà"));
         assert!(parse_json(r#""\ud83d""#).is_err(), "unpaired surrogate");
         assert!(parse_json(r#""\ud83d ""#).is_err());
-    }
-
-    #[test]
-    fn parser_and_checker_agree() {
-        for doc in [
-            "null",
-            "[1,]",
-            "{\"a\": 1,}",
-            r#"{"a": {"b": [false, "x,y"]}}"#,
-            "01",
-            "{} {}",
-            "-12.5e-3",
-        ] {
-            assert_eq!(
-                check_json(doc).is_ok(),
-                parse_json(doc).is_ok(),
-                "checker and parser disagree on {doc:?}"
-            );
-        }
     }
 
     #[test]
