@@ -14,10 +14,13 @@
 //! * one campaign detection matrix (seeded population x 4 schedules),
 //!   via an FNV-1a digest of the emitted CSV,
 //! * traced vs untraced runs of the same scenario (must agree with each
-//!   other *and* with the pinned value).
+//!   other *and* with the pinned value),
+//! * the JSON artifacts' exact bytes: the same campaign's report JSON,
+//!   and the lint and certified-bounds JSON of the four Table I
+//!   schedules, via FNV-1a digests of the emitted text.
 
-use tve::campaign::{generate, run_campaign, CampaignConfig, PopulationSpec};
-use tve::obs::StoragePolicy;
+use tve::campaign::{generate, run_campaign, CampaignConfig, CampaignReport, PopulationSpec};
+use tve::obs::{fnv1a, StoragePolicy};
 use tve::sched::Farm;
 use tve::soc::{paper_schedules, run_scenario, run_scenario_traced, SocConfig, SocTestPlan};
 
@@ -36,18 +39,40 @@ const TABLE1_DIGESTS: [u64; 4] = [
 /// below, recorded on the pre-rework kernel.
 const CAMPAIGN_CSV_DIGEST: u64 = 0x09239e0fc894db27;
 
+/// FNV-1a digest of the same campaign's `CampaignReport::to_json`.
+const CAMPAIGN_JSON_DIGEST: u64 = 0x7e0c61b4109cbdfe;
+
+/// FNV-1a digest of `reports_to_json` over the lint reports of the four
+/// Table I schedules on the benchmark workload.
+const LINT_JSON_DIGEST: u64 = 0xa82cc5c7e8c89809;
+
+/// FNV-1a digest of `bounds_reports_to_json` over the certified
+/// envelopes of the four Table I schedules on the benchmark workload.
+const BOUNDS_JSON_DIGEST: u64 = 0x99dca46212c3abdd;
+
 fn bench_workload() -> (SocConfig, SocTestPlan) {
     let mut config = SocConfig::paper();
     config.memory_words = 2622;
     (config, SocTestPlan::paper_scaled(100))
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+fn pinned_campaign() -> CampaignReport {
+    let mut config = SocConfig::small();
+    config.memory_words = 64;
+    let spec = PopulationSpec {
+        seed: 20090417,
+        scan_cells_per_core: 1,
+        memory_faults: 2,
+        ..PopulationSpec::default()
+    };
+    let population = generate(&spec, &config);
+    let campaign = CampaignConfig::new(
+        config,
+        SocTestPlan::small(),
+        paper_schedules().to_vec(),
+        population,
+    );
+    run_campaign(&campaign, &Farm::with_workers(2))
 }
 
 #[test]
@@ -96,26 +121,37 @@ fn traced_run_matches_pinned_digest() {
 
 #[test]
 fn campaign_matrix_digest_is_pinned() {
-    let mut config = SocConfig::small();
-    config.memory_words = 64;
-    let spec = PopulationSpec {
-        seed: 20090417,
-        scan_cells_per_core: 1,
-        memory_faults: 2,
-        ..PopulationSpec::default()
-    };
-    let population = generate(&spec, &config);
-    let campaign = CampaignConfig::new(
-        config,
-        SocTestPlan::small(),
-        paper_schedules().to_vec(),
-        population,
-    );
-    let report = run_campaign(&campaign, &Farm::with_workers(2));
+    let report = pinned_campaign();
     let got = fnv1a(report.to_csv().as_bytes());
     println!("campaign csv digest: {got:#018x}");
     assert_eq!(
         got, CAMPAIGN_CSV_DIGEST,
         "kernel rework changed the campaign detection matrix"
+    );
+}
+
+#[test]
+fn json_artifact_digests_are_pinned() {
+    let campaign = fnv1a(pinned_campaign().to_json().as_bytes());
+
+    let (config, plan) = bench_workload();
+    let schedules = paper_schedules();
+    let facts = tve::lint::soc_facts(&config, &plan);
+    let reports: Vec<_> = schedules
+        .iter()
+        .map(|s| tve::lint::lint_schedule_report(s, &facts))
+        .collect();
+    let lint = fnv1a(tve::lint::reports_to_json(&reports).as_bytes());
+    let envelopes: Vec<_> = schedules
+        .iter()
+        .map(|s| tve::lint::schedule_envelope(&config, &plan, s))
+        .collect();
+    let bounds = fnv1a(tve::lint::bounds_reports_to_json(&envelopes).as_bytes());
+
+    println!("campaign json {campaign:#018x}, lint json {lint:#018x}, bounds json {bounds:#018x}");
+    assert_eq!(
+        [campaign, lint, bounds],
+        [CAMPAIGN_JSON_DIGEST, LINT_JSON_DIGEST, BOUNDS_JSON_DIGEST],
+        "an artifact's JSON layout drifted"
     );
 }
