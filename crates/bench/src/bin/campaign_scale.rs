@@ -15,7 +15,10 @@
 //! 4. **guided** — the coverage-guided selector must rediscover the
 //!    exhaustive run's entire escape set while spending at most 50% of
 //!    the cell budget (population seeded with guaranteed escapes:
-//!    unscanned-core scan cells, no infrastructure faults).
+//!    unscanned-core scan cells, no infrastructure faults). Recovery is
+//!    asserted when that budget funds guided picks beyond the one-fault
+//!    pilot per stratum; under `--quick` the pilot takes the whole
+//!    budget, so the bin reports what it found instead.
 //!
 //! Usage: `campaign_scale [--out PATH] [--check [BASELINE]] [--quick]`
 //!
@@ -198,19 +201,31 @@ fn main() {
         .map(str::to_string)
         .collect();
     escapes_found.sort();
-    if escapes_found != escapes_true {
-        fail(&format!(
-            "guided selector found escapes {escapes_found:?}, exhaustive truth is {escapes_true:?}"
-        ));
-    }
     if guided.spent_cells > budget_cells {
         fail(&format!(
             "guided selector spent {} cells, budget was {budget_cells}",
             guided.spent_cells
         ));
     }
+    // The selector first pilots one fault per stratum; recovery is
+    // claimed only when the budget funds guided picks after the pilot.
+    // The quick workload's budget (5 faults, 5 strata) is all pilot.
+    let pilot_cells = guided.strata.len() * config.schedules.len();
+    let recovered = escapes_found == escapes_true;
+    if !recovered && budget_cells > pilot_cells {
+        fail(&format!(
+            "guided selector found escapes {escapes_found:?}, exhaustive truth is {escapes_true:?}"
+        ));
+    }
     println!(
-        "guided: OK — all {} escapes rediscovered with {} of {total_cells} cells ({:.0}%)",
+        "guided: {} — {} of {} escapes rediscovered with {} of {total_cells} cells ({:.0}%, \
+         pilot {pilot_cells} cells)",
+        if recovered {
+            "OK"
+        } else {
+            "not claimed, the budget is all pilot"
+        },
+        escapes_found.len(),
         escapes_true.len(),
         guided.spent_cells,
         guided.spent_cells as f64 / total_cells as f64 * 100.0
@@ -252,7 +267,7 @@ fn main() {
         .exact("budget_fraction", guided_budget_fraction, 6)
         .exact("escapes_true", escapes_true.len() as f64, 0)
         .exact("escapes_found", escapes_found.len() as f64, 0)
-        .flag("recovered", true);
+        .flag("recovered", recovered);
 
     write_artifact(
         Path::new("target/campaign_scale_sampled.json"),

@@ -23,7 +23,7 @@
 
 use std::path::{Path, PathBuf};
 
-use tve_obs::{append_json_string, parse_json, JsonValue};
+use tve_obs::{append_json_string, json_document, parse_json, JsonObject, JsonValue, Layout};
 
 use crate::write_artifact;
 
@@ -192,20 +192,19 @@ impl Snapshot {
     /// The snapshot as pretty-printed JSON: two-space indent, one value
     /// per line, members in declaration order.
     pub fn to_json(&self) -> String {
-        let line =
-            |m: &Metric, indent: &str| format!("{indent}\"{}\": {}", m.key, m.value.render());
-        let items: Vec<String> = self
-            .metrics
-            .chunk_by(|a, b| a.section == b.section)
-            .flat_map(|group| match group[0].section {
-                None => group.iter().map(|m| line(m, "  ")).collect(),
-                Some(name) => {
-                    let members: Vec<String> = group.iter().map(|m| line(m, "    ")).collect();
-                    vec![format!("  \"{name}\": {{\n{}\n  }}", members.join(",\n"))]
+        json_document(|doc| {
+            for group in self.metrics.chunk_by(|a, b| a.section == b.section) {
+                let write = |obj: &mut JsonObject| {
+                    for m in group {
+                        obj.raw(m.key, &m.value.render());
+                    }
+                };
+                match group[0].section {
+                    None => write(doc),
+                    Some(name) => write(&mut doc.obj_in(name, Layout::lines("\n    ", "\n  "))),
                 }
-            })
-            .collect();
-        format!("{{\n{}\n}}\n", items.join(",\n"))
+            }
+        })
     }
 
     /// Every gate failure of this snapshot against `baseline`, read

@@ -84,6 +84,6 @@ pub use shard::{
     ShardSpec,
 };
 pub use wire::{
-    append_cell_result, append_diagnosis, cell_result_from_json, cell_result_to_json,
-    diagnosis_from_json, diagnosis_to_json,
+    cell_result_from_json, diagnosis_from_json, metrics_from_json, outcome_from_json,
+    write_cell_result, write_diagnosis, write_metrics, write_outcome,
 };

@@ -9,8 +9,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use tve_core::{FailingCell, StuckCell};
-use tve_obs::append_json_string;
+use tve_obs::{json_document, Layout};
 use tve_soc::WrappedCore;
+
+use crate::wire::{write_cell_result, write_diagnosis};
 
 /// What happened when one fault met one schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,91 +213,23 @@ impl CampaignReport {
     }
 
     /// The full report as JSON: per-schedule coverage and escapes, the
-    /// matrix cells, and the diagnosis cross-check.
+    /// matrix cells, and the diagnosis cross-check, one record per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schedules\": [\n");
-        for (i, s) in self.schedules.iter().enumerate() {
-            let sep = sep(i, self.schedules.len());
-            let escapes: Vec<String> = self.escapes(s).iter().map(|e| json_string(e)).collect();
-            let _ = writeln!(
-                out,
-                "    {{\"name\": {}, \"core_coverage\": {:.6}, \"escapes\": [{}]}}{}",
-                json_string(s),
-                self.core_coverage(s),
-                escapes.join(", "),
-                sep
-            );
-        }
-        out.push_str("  ],\n  \"prescreened\": [\n");
-        for (i, p) in self.prescreened.iter().enumerate() {
-            let sep = sep(i, self.prescreened.len());
-            let codes: Vec<String> = p.codes.iter().map(|c| json_string(c)).collect();
-            let _ = writeln!(
-                out,
-                "    {{\"name\": {}, \"codes\": [{}]}}{}",
-                json_string(&p.schedule),
-                codes.join(", "),
-                sep
-            );
-        }
-        out.push_str("  ],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = sep(i, self.cells.len());
-            let mut extra = String::new();
-            match &c.outcome {
-                CellOutcome::Detected {
-                    latency_cycles,
-                    deviating,
-                } => {
-                    let names: Vec<String> = deviating.iter().map(|d| json_string(d)).collect();
-                    let _ = write!(
-                        extra,
-                        ", \"latency_cycles\": {latency_cycles}, \"deviating\": [{}]",
-                        names.join(", ")
-                    );
-                }
-                CellOutcome::Escape => {}
-                CellOutcome::InfraFailure { error } => {
-                    let _ = write!(extra, ", \"error\": {}", json_string(error));
-                }
-            }
-            let _ = writeln!(
-                out,
-                "    {{\"fault\": {}, \"class\": {}, \"schedule\": {}, \"outcome\": {}{}}}{}",
-                json_string(&c.fault_id),
-                json_string(&c.fault_class),
-                json_string(&c.schedule),
-                json_string(c.outcome.tag()),
-                extra,
-                sep
-            );
-        }
-        out.push_str("  ],\n  \"diagnosis\": [\n");
-        for (i, d) in self.diagnosis.iter().enumerate() {
-            let sep = sep(i, self.diagnosis.len());
-            let located: Vec<String> = d
-                .located
-                .iter()
-                .map(|c| format!("{{\"chain\": {}, \"position\": {}}}", c.chain, c.position))
-                .collect();
-            let pattern = d
-                .first_failing_pattern
-                .map_or_else(|| "null".to_string(), |p| p.to_string());
-            let _ = writeln!(
-                out,
-                "    {{\"fault\": {}, \"injected\": {{\"chain\": {}, \"position\": {}}}, \
-                 \"located\": [{}], \"first_failing_pattern\": {}, \"confirmed\": {}}}{}",
-                json_string(&d.fault_id),
-                d.injected.chain,
-                d.injected.position,
-                located.join(", "),
-                pattern,
-                d.confirmed,
-                sep
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = Layout::lines("\n    ", "\n  ");
+        json_document(|doc| {
+            doc.objs_in("schedules", rows, &self.schedules, |row, s| {
+                row.str("name", s)
+                    .fixed("core_coverage", self.core_coverage(s), 6)
+                    .strs("escapes", self.escapes(s));
+            })
+            .objs_in("prescreened", rows, &self.prescreened, |row, p| {
+                row.str("name", &p.schedule).strs("codes", &p.codes);
+            })
+            .objs_in("cells", rows, &self.cells, write_cell_result)
+            .objs_in("diagnosis", rows, &self.diagnosis, |row, d| {
+                write_diagnosis(row, d, false)
+            });
+        })
     }
 }
 
@@ -305,22 +239,6 @@ fn csv_field(s: &str) -> String {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
-    }
-}
-
-/// A JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    append_json_string(&mut out, s);
-    out
-}
-
-/// The separator after item `i` of `len` JSON array items.
-fn sep(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
     }
 }
 

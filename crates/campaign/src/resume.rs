@@ -28,16 +28,14 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use tve_core::Schedule;
-use tve_obs::{parse_journal, IoPolicy, Journal, JournalDefect, JsonValue};
+use tve_obs::{json_line, parse_journal, IoPolicy, Journal, JournalDefect, JsonValue};
 use tve_sched::Farm;
 
 use crate::engine::CampaignConfig;
 use crate::matrix::{CellOutcome, CellResult, DiagnosisCheck};
 use crate::pipeline::{CellPipeline, CellStore, Hit};
 use crate::shard::{ShardReport, ShardSpec};
-use crate::wire::{
-    append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
-};
+use crate::wire::{cell_result_from_json, diagnosis_from_json, write_cell_result, write_diagnosis};
 
 /// What a journaled run reused versus recomputed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,24 +55,27 @@ pub struct ResumeSummary {
 }
 
 fn header_payload(fingerprint: u64, shard: ShardSpec, total_cells: usize) -> String {
-    format!(
-        "{{\"kind\":\"header\",\"version\":1,\"fingerprint\":\"{fingerprint:016x}\",\
-         \"shard\":\"{shard}\",\"total_cells\":{total_cells}}}"
-    )
+    json_line(|o| {
+        o.str("kind", "header")
+            .num("version", 1)
+            .hex("fingerprint", fingerprint)
+            .str("shard", &shard.to_string())
+            .num("total_cells", total_cells);
+    })
 }
 
 fn cell_payload(index: usize, cell: &CellResult) -> String {
-    let mut out = format!("{{\"kind\":\"cell\",\"index\":{index},\"cell\":");
-    append_cell_result(&mut out, cell);
-    out.push('}');
-    out
+    json_line(|o| {
+        o.str("kind", "cell").num("index", index);
+        write_cell_result(&mut o.obj("cell"), cell);
+    })
 }
 
 fn diag_payload(check: &DiagnosisCheck) -> String {
-    let mut out = String::from("{\"kind\":\"diag\",\"check\":");
-    append_diagnosis(&mut out, check);
-    out.push('}');
-    out
+    json_line(|o| {
+        o.str("kind", "diag");
+        write_diagnosis(&mut o.obj("check"), check, true);
+    })
 }
 
 /// The journal as a [`CellStore`]: lookups take the records of its
@@ -181,11 +182,7 @@ fn open_journal(
             path.display()
         ));
     }
-    let journal_fp = header
-        .get("fingerprint")
-        .and_then(JsonValue::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or("journal header missing hex field 'fingerprint'")?;
+    let journal_fp = header.hex_field("fingerprint")?;
     if journal_fp != fingerprint {
         return Err(format!(
             "journal {} was written by a different campaign: fingerprint {journal_fp:016x}, \
@@ -193,12 +190,7 @@ fn open_journal(
             path.display()
         ));
     }
-    let journal_shard = ShardSpec::parse(
-        header
-            .get("shard")
-            .and_then(JsonValue::as_str)
-            .ok_or("journal header missing field 'shard'")?,
-    )?;
+    let journal_shard = ShardSpec::parse(header.str_field("shard")?)?;
     if journal_shard != shard {
         return Err(format!(
             "journal {} belongs to shard {journal_shard}, this run is shard {shard}",
@@ -210,25 +202,20 @@ fn open_journal(
     for record in records {
         match record.get("kind").and_then(JsonValue::as_str) {
             Some("cell") => {
-                let index = record
-                    .get("index")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("cell record missing 'index'")? as usize;
+                let index: usize = record.int_field("index")?;
                 if index >= total_cells || !shard.owns(index) {
                     return Err(format!(
                         "journal cell {index} is outside shard {shard}'s slice of the \
                          {total_cells}-cell matrix"
                     ));
                 }
-                let cell =
-                    cell_result_from_json(record.get("cell").ok_or("cell record missing 'cell'")?)?;
+                let cell = cell_result_from_json(record.field("cell")?)?;
                 if cells.insert(index, cell).is_some() {
                     return Err(format!("journal records cell {index} twice"));
                 }
             }
             Some("diag") => {
-                let check =
-                    diagnosis_from_json(record.get("check").ok_or("diag record missing 'check'")?)?;
+                let check = diagnosis_from_json(record.field("check")?)?;
                 if diagnosis.insert(check.fault_id.clone(), check).is_some() {
                     return Err("journal records a diagnosis twice".into());
                 }

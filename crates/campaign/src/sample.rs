@@ -27,9 +27,8 @@
 //! fault ids — a budget is a visible cut, never a silent cap.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use tve_obs::{append_json_string, append_json_strings, fnv1a};
+use tve_obs::{fnv1a, json_document, Layout};
 use tve_sched::Farm;
 
 use crate::engine::CampaignConfig;
@@ -434,46 +433,37 @@ impl SampledCampaign {
     /// with its sampled and skipped fault ids — nothing is silently
     /// capped.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"kind\": \"tve-campaign-sample\",\n  \"version\": 1,\n");
-        let _ = writeln!(
-            out,
-            "  \"mode\": \"{}\",\n  \"seed\": \"{:016x}\",\n  \"budget_cells\": {},\n  \"spent_cells\": {},",
-            self.mode, self.seed, self.budget_cells, self.spent_cells
-        );
-        match &self.estimate {
-            Some(e) => {
-                let _ = writeln!(
-                    out,
-                    "  \"estimate\": {{\"coverage\": {:.6}, \"ci_low\": {:.6}, \"ci_high\": {:.6}, \"confidence\": {:.2}}},",
-                    e.coverage, e.ci_low, e.ci_high, e.confidence
+        json_document(|doc| {
+            doc.str("kind", "tve-campaign-sample")
+                .num("version", 1)
+                .str("mode", self.mode)
+                .hex("seed", self.seed)
+                .num("budget_cells", self.budget_cells)
+                .num("spent_cells", self.spent_cells);
+            if let Some(e) = &self.estimate {
+                doc.obj("estimate")
+                    .fixed("coverage", e.coverage, 6)
+                    .fixed("ci_low", e.ci_low, 6)
+                    .fixed("ci_high", e.ci_high, 6)
+                    .fixed("confidence", e.confidence, 2);
+            } else {
+                doc.null("estimate");
+            }
+            doc.strs("union_escapes", self.report.union_escapes())
+                .objs_in(
+                    "strata",
+                    Layout::lines("\n    ", "\n  "),
+                    &self.strata,
+                    |row, s| {
+                        row.str("name", &s.name)
+                            .num("population", s.sampled.len() + s.skipped.len())
+                            .num("detected", s.detected)
+                            .num("escapes", s.escapes)
+                            .strs("sampled", &s.sampled)
+                            .strs("skipped", &s.skipped);
+                    },
                 );
-            }
-            None => out.push_str("  \"estimate\": null,\n"),
-        }
-        out.push_str("  \"union_escapes\": [");
-        append_json_strings(&mut out, self.report.union_escapes(), ", ");
-        out.push_str("],\n  \"strata\": [\n");
-        for (i, s) in self.strata.iter().enumerate() {
-            out.push_str("    {\"name\": ");
-            append_json_string(&mut out, &s.name);
-            let _ = write!(
-                out,
-                ", \"population\": {}, \"detected\": {}, \"escapes\": {}, \"sampled\": [",
-                s.sampled.len() + s.skipped.len(),
-                s.detected,
-                s.escapes
-            );
-            append_json_strings(&mut out, s.sampled.iter().map(String::as_str), ", ");
-            out.push_str("], \"skipped\": [");
-            append_json_strings(&mut out, s.skipped.iter().map(String::as_str), ", ");
-            out.push_str("]}");
-            if i + 1 < self.strata.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        })
     }
 }
 

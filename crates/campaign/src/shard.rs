@@ -23,15 +23,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use tve_core::Schedule;
-use tve_obs::{append_json_string, append_json_strings, fnv1a, parse_json, JsonValue};
+use tve_obs::{fnv1a, json_document, parse_json, JsonValue, Layout};
 use tve_sched::Farm;
 
 use crate::engine::CampaignConfig;
 use crate::matrix::{CampaignReport, CellResult, DiagnosisCheck, PrescreenedSchedule};
 use crate::pipeline::{CellPipeline, NoStore};
-use crate::wire::{
-    append_cell_result, append_diagnosis, cell_result_from_json, diagnosis_from_json,
-};
+use crate::wire::{cell_result_from_json, diagnosis_from_json, write_cell_result, write_diagnosis};
 
 /// One shard of a campaign: which residue class of cell indices this
 /// process owns.
@@ -177,45 +175,26 @@ pub struct ShardReport {
 impl ShardReport {
     /// The report as a JSON document (one cell per line).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"kind\": \"tve-campaign-shard\",\n  \"version\": 1,\n");
-        out.push_str(&format!(
-            "  \"fingerprint\": \"{:016x}\",\n  \"shard\": \"{}\",\n  \"total_cells\": {},\n",
-            self.fingerprint, self.shard, self.total_cells
-        ));
-        out.push_str("  \"schedules\": [");
-        append_json_strings(&mut out, self.schedules.iter().map(String::as_str), ", ");
-        out.push_str("],\n  \"prescreened\": [");
-        for (i, p) in self.prescreened.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        let rows = Layout::lines("\n    ", "\n  ");
+        json_document(|doc| {
+            doc.str("kind", "tve-campaign-shard")
+                .num("version", 1)
+                .hex("fingerprint", self.fingerprint)
+                .str("shard", &self.shard.to_string())
+                .num("total_cells", self.total_cells)
+                .strs("schedules", &self.schedules)
+                .objs("prescreened", &self.prescreened, |entry, p| {
+                    entry.str("name", &p.schedule).strs("codes", &p.codes);
+                })
+                .objs_in("cells", rows, &self.cells, |entry, (index, cell)| {
+                    entry.num("index", index);
+                    write_cell_result(&mut entry.obj_in("cell", Layout::COMPACT), cell);
+                });
+            let mut diagnosis = doc.arr_in("diagnosis", rows);
+            for check in &self.diagnosis {
+                write_diagnosis(&mut diagnosis.obj_in(Layout::COMPACT), check, true);
             }
-            out.push_str("{\"name\": ");
-            append_json_string(&mut out, &p.schedule);
-            out.push_str(", \"codes\": [");
-            append_json_strings(&mut out, p.codes.iter().map(String::as_str), ", ");
-            out.push_str("]}");
-        }
-        out.push_str("],\n  \"cells\": [\n");
-        for (i, (index, cell)) in self.cells.iter().enumerate() {
-            out.push_str(&format!("    {{\"index\": {index}, \"cell\": "));
-            append_cell_result(&mut out, cell);
-            out.push('}');
-            if i + 1 < self.cells.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n  \"diagnosis\": [\n");
-        for (i, check) in self.diagnosis.iter().enumerate() {
-            out.push_str("    ");
-            append_diagnosis(&mut out, check);
-            if i + 1 < self.diagnosis.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        })
     }
 
     /// Parses a report emitted by [`ShardReport::to_json`].
@@ -231,74 +210,40 @@ impl ShardReport {
         if v.get("version").and_then(JsonValue::as_u64) != Some(1) {
             return Err("unsupported shard report version".into());
         }
-        let fingerprint = v
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("shard report missing hex field 'fingerprint'")?;
-        let shard = ShardSpec::parse(
-            v.get("shard")
-                .and_then(JsonValue::as_str)
-                .ok_or("shard report missing string field 'shard'")?,
-        )?;
-        let total_cells =
-            v.get("total_cells")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard report missing integer field 'total_cells'")? as usize;
-        let schedules = v
-            .get("schedules")
-            .and_then(JsonValue::as_str_vec)
-            .ok_or("shard report missing string-array field 'schedules'")?;
-        let prescreened = v
-            .get("prescreened")
-            .and_then(JsonValue::as_arr)
-            .ok_or("shard report missing array field 'prescreened'")?
-            .iter()
-            .map(|p| {
-                Ok(PrescreenedSchedule {
-                    schedule: p
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("prescreened entry missing 'name'")?
-                        .to_string(),
-                    codes: p
-                        .get("codes")
-                        .and_then(JsonValue::as_str_vec)
-                        .ok_or("prescreened entry missing string-array 'codes'")?,
-                })
+        let read = || -> Result<ShardReport, String> {
+            Ok(ShardReport {
+                fingerprint: v.hex_field("fingerprint")?,
+                shard: ShardSpec::parse(v.str_field("shard")?)?,
+                total_cells: v.int_field("total_cells")?,
+                schedules: v.strs_field("schedules")?,
+                prescreened: v
+                    .arr_field("prescreened")?
+                    .iter()
+                    .map(|p| {
+                        Ok(PrescreenedSchedule {
+                            schedule: p.str_field("name")?.to_string(),
+                            codes: p.strs_field("codes")?,
+                        })
+                    })
+                    .collect::<Result<_, String>>()?,
+                cells: v
+                    .arr_field("cells")?
+                    .iter()
+                    .map(|e| {
+                        Ok((
+                            e.int_field("index")?,
+                            cell_result_from_json(e.field("cell")?)?,
+                        ))
+                    })
+                    .collect::<Result<_, String>>()?,
+                diagnosis: v
+                    .arr_field("diagnosis")?
+                    .iter()
+                    .map(diagnosis_from_json)
+                    .collect::<Result<_, String>>()?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let cells = v
-            .get("cells")
-            .and_then(JsonValue::as_arr)
-            .ok_or("shard report missing array field 'cells'")?
-            .iter()
-            .map(|e| {
-                let index = e
-                    .get("index")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("cell entry missing 'index'")? as usize;
-                let cell =
-                    cell_result_from_json(e.get("cell").ok_or("cell entry missing 'cell'")?)?;
-                Ok((index, cell))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let diagnosis = v
-            .get("diagnosis")
-            .and_then(JsonValue::as_arr)
-            .ok_or("shard report missing array field 'diagnosis'")?
-            .iter()
-            .map(diagnosis_from_json)
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ShardReport {
-            fingerprint,
-            shard,
-            total_cells,
-            schedules,
-            prescreened,
-            cells,
-            diagnosis,
-        })
+        };
+        read().map_err(|e| format!("shard report: {e}"))
     }
 }
 

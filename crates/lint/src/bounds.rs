@@ -31,6 +31,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use tve_core::{DataPolicy, Schedule};
+use tve_obs::{json_document, Layout};
 use tve_soc::{ScenarioMetrics, SocConfig, SocTestPlan};
 
 use crate::facts::TamChannel;
@@ -520,39 +521,39 @@ pub fn schedule_envelopes(
         .collect()
 }
 
-fn interval_json(i: Interval) -> String {
-    format!("{{\"lo\": {}, \"hi\": {}}}", i.lo, i.hi)
-}
-
 /// Bundles envelopes into one JSON artifact — a versioned
-/// `{"format_version": …, "reports": […]}` object ending with a newline,
-/// emitted serde-free like the lint artifacts. The rendering is a pure
-/// function of its inputs, so a daemon-served bounds response is
-/// byte-identical to a locally computed one.
+/// `{"format_version": …, "reports": […]}` object ending with a newline.
+/// The rendering is a pure function of its inputs, so a daemon-served
+/// bounds response is byte-identical to a locally computed one.
 pub fn bounds_reports_to_json(envelopes: &[ScheduleEnvelope]) -> String {
-    let mut out = format!("{{\n  \"format_version\": {BOUNDS_FORMAT_VERSION},\n  \"reports\": [\n");
-    for (i, e) in envelopes.iter().enumerate() {
-        let sep = if i + 1 < envelopes.len() { "," } else { "" };
-        let power = match e.peak_power {
-            Some(p) => format!("{{\"lo\": {:.3}, \"hi\": {:.3}}}", p.lo, p.hi),
-            None => "null".to_string(),
-        };
-        let phases: Vec<String> = e.phases.iter().map(|&p| interval_json(p)).collect();
-        let _ = writeln!(
-            out,
-            "  {{\"schedule\": {}, \"total\": {}, \"bus_busy\": {}, \
-             \"serial_busy\": {}, \"peak_power\": {}, \"phases\": [{}]}}{}",
-            crate::diag::json_string(&e.schedule),
-            interval_json(e.total),
-            interval_json(e.bus_busy),
-            interval_json(e.serial_busy),
-            power,
-            phases.join(", "),
-            sep
+    json_document(|doc| {
+        doc.num("format_version", BOUNDS_FORMAT_VERSION).objs_in(
+            "reports",
+            Layout::lines("\n  ", "\n  "),
+            envelopes,
+            |report, e| {
+                report.str("schedule", &e.schedule);
+                for (key, i) in [
+                    ("total", e.total),
+                    ("bus_busy", e.bus_busy),
+                    ("serial_busy", e.serial_busy),
+                ] {
+                    report.obj(key).num("lo", i.lo).num("hi", i.hi);
+                }
+                if let Some(p) = e.peak_power {
+                    report
+                        .obj("peak_power")
+                        .fixed("lo", p.lo, 3)
+                        .fixed("hi", p.hi, 3);
+                } else {
+                    report.null("peak_power");
+                }
+                report.objs("phases", &e.phases, |phase, p| {
+                    phase.num("lo", p.lo).num("hi", p.hi);
+                });
+            },
         );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    })
 }
 
 /// Renders envelopes as a human-readable table (one row per schedule).

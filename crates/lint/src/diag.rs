@@ -3,7 +3,8 @@
 //! renderers.
 
 use std::fmt;
-use std::fmt::Write as _;
+
+use tve_obs::{json_document, JsonObject, Layout};
 
 /// Pinned schema version stamped into every lint JSON report so artifact
 /// consumers can detect shape drift; bump on any change to the emitted
@@ -229,52 +230,45 @@ impl LintReport {
         self.diagnostics.iter().any(|d| d.code == code)
     }
 
-    /// This report as a JSON object (no trailing newline). Emitted
-    /// serde-free like the campaign artifacts; validate with
+    /// This report as a JSON object (no trailing newline); validate with
     /// `tve_obs::check_json`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"format_version\": {}, \"subject\": {}, \"clean\": {}, \"diagnostics\": [",
-            LINT_FORMAT_VERSION,
-            json_string(&self.subject),
-            self.clean()
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            let sep = if i + 1 < self.diagnostics.len() {
-                ","
-            } else {
-                ""
-            };
-            let loc = match d.location {
-                Location::Schedule => "{\"kind\": \"schedule\"}".to_string(),
-                Location::Phase(p) => format!("{{\"kind\": \"phase\", \"phase\": {p}}}"),
-                Location::Test { phase, test } => {
-                    format!("{{\"kind\": \"test\", \"phase\": {phase}, \"test\": {test}}}")
-                }
-                Location::Span { line, column } => {
-                    format!("{{\"kind\": \"span\", \"line\": {line}, \"column\": {column}}}")
-                }
-            };
-            let notes: Vec<String> = d.notes.iter().map(|n| json_string(n)).collect();
-            let _ = write!(
-                out,
-                "\n    {{\"code\": {}, \"severity\": {}, \"location\": {}, \
-                 \"message\": {}, \"notes\": [{}]}}{}",
-                json_string(d.code),
-                json_string(d.severity.as_str()),
-                loc,
-                json_string(&d.message),
-                notes.join(", "),
-                sep
-            );
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]}");
+        self.write_json(&mut JsonObject::new(&mut out, Layout::SPACED));
         out
+    }
+
+    /// Writes this report's members into `obj`: one diagnostic per line,
+    /// or `[]` when there are none.
+    fn write_json(&self, obj: &mut JsonObject) {
+        obj.num("format_version", LINT_FORMAT_VERSION)
+            .str("subject", &self.subject)
+            .bool("clean", self.clean());
+        let layout = if self.diagnostics.is_empty() {
+            Layout::SPACED
+        } else {
+            Layout::lines("\n    ", "\n  ")
+        };
+        obj.objs_in("diagnostics", layout, &self.diagnostics, |entry, d| {
+            entry
+                .str("code", d.code)
+                .str("severity", d.severity.as_str());
+            let mut location = entry.obj("location");
+            match d.location {
+                Location::Schedule => location.str("kind", "schedule"),
+                Location::Phase(phase) => location.str("kind", "phase").num("phase", phase),
+                Location::Test { phase, test } => location
+                    .str("kind", "test")
+                    .num("phase", phase)
+                    .num("test", test),
+                Location::Span { line, column } => location
+                    .str("kind", "span")
+                    .num("line", line)
+                    .num("column", column),
+            };
+            drop(location);
+            entry.str("message", &d.message).strs("notes", &d.notes);
+        });
     }
 }
 
@@ -297,34 +291,14 @@ impl fmt::Display for LintReport {
 /// Bundles several reports into one JSON artifact (a `{"reports": [...]}`
 /// object), ending with a newline.
 pub fn reports_to_json(reports: &[LintReport]) -> String {
-    let mut out = String::from("{\n  \"reports\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(out, "  {}{}", r.to_json(), sep);
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// A JSON string literal with the mandatory escapes.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    json_document(|doc| {
+        doc.objs_in(
+            "reports",
+            Layout::lines("\n  ", "\n  "),
+            reports,
+            |obj, r| r.write_json(obj),
+        );
+    })
 }
 
 #[cfg(test)]

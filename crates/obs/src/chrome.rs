@@ -12,7 +12,7 @@
 
 use std::io::{self, Write};
 
-use crate::json::append_json_string;
+use crate::json::{JsonObject, Layout};
 use crate::recorder::TraceLog;
 
 /// Writes `log` as Chrome trace-event JSON.
@@ -42,41 +42,40 @@ pub fn write_chrome_trace<W: Write>(log: &TraceLog, out: &mut W) -> io::Result<(
     let mut tracks = log.tracks();
     tracks.sort_unstable();
 
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"displayTimeUnit\": \"ms\",")?;
-    writeln!(
+    let mut line = String::new();
+    JsonObject::new(&mut line, Layout::SPACED)
+        .str("unit", "cycles")
+        .num("observedEnd", log.observed_end.cycles())
+        .num("droppedSpans", log.dropped);
+    write!(
         out,
-        "  \"otherData\": {{\"unit\": \"cycles\", \"observedEnd\": {}, \"droppedSpans\": {}}},",
-        log.observed_end.cycles(),
-        log.dropped
+        "{{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {line},\n  \"traceEvents\": ["
     )?;
-    writeln!(out, "  \"traceEvents\": [")?;
+    line.clear();
 
+    // One event per line, each rendered into `line` and streamed out.
     let mut first = true;
-    let mut emit = |out: &mut W, line: String| -> io::Result<()> {
-        if first {
-            first = false;
-            write!(out, "    {line}")
-        } else {
-            write!(out, ",\n    {line}")
-        }
+    let mut emit = |out: &mut W, line: &mut String| -> io::Result<()> {
+        let sep = if first { "\n    " } else { ",\n    " };
+        first = false;
+        write!(out, "{sep}{line}")?;
+        line.clear();
+        Ok(())
     };
 
-    emit(
-        out,
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \
-         \"args\": {\"name\": \"SoC\"}}"
-            .to_string(),
-    )?;
-    for (i, track) in tracks.iter().enumerate() {
-        let mut line = format!(
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {}, \
-             \"args\": {{\"name\": ",
-            i + 1
-        );
-        append_json_string(&mut line, track);
-        line.push_str("}}");
-        emit(out, line)?;
+    let threads = tracks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| ("thread_name", i + 1, *t));
+    for (name, tid, label) in std::iter::once(("process_name", 0, "SoC")).chain(threads) {
+        JsonObject::new(&mut line, Layout::SPACED)
+            .str("name", name)
+            .str("ph", "M")
+            .num("pid", 0)
+            .num("tid", tid)
+            .obj("args")
+            .str("name", label);
+        emit(out, &mut line)?;
     }
 
     for span in &log.spans {
@@ -84,41 +83,38 @@ pub fn write_chrome_trace<W: Write>(log: &TraceLog, out: &mut W) -> io::Result<(
             .binary_search(&span.track.as_str())
             .map(|i| i + 1)
             .unwrap_or(0);
-        let mut args = String::new();
-        args.push_str(&format!("\"bits\": {}", span.bits));
+        let mut event = JsonObject::new(&mut line, Layout::SPACED);
+        event
+            .str("name", &span.name)
+            .str("cat", span.kind.category())
+            .str("ph", "X")
+            .num("pid", 0)
+            .num("tid", tid)
+            .num("ts", span.start.cycles())
+            .num("dur", span.duration().as_cycles());
+        let mut args = event.obj("args");
+        args.num("bits", span.bits);
         if let Some(initiator) = span.initiator {
-            args.push_str(&format!(", \"initiator\": {initiator}"));
+            args.num("initiator", initiator);
         }
-        let mut line = String::from("{\"name\": ");
-        append_json_string(&mut line, &span.name);
-        line.push_str(", \"cat\": ");
-        append_json_string(&mut line, span.kind.category());
-        line.push_str(&format!(
-            ", \"ph\": \"X\", \"pid\": 0, \"tid\": {}, \"ts\": {}, \"dur\": {}, \
-             \"args\": {{{}}}}}",
-            tid,
-            span.start.cycles(),
-            span.duration().as_cycles(),
-            args
-        ));
-        emit(out, line)?;
+        drop(args);
+        drop(event);
+        emit(out, &mut line)?;
     }
 
     for (name, value) in &log.counters {
-        let mut line = String::from("{\"name\": ");
-        append_json_string(&mut line, name);
-        line.push_str(&format!(
-            ", \"cat\": \"counter\", \"ph\": \"C\", \"pid\": 0, \"ts\": {}, \
-             \"args\": {{\"value\": {}}}}}",
-            log.observed_end.cycles(),
-            value
-        ));
-        emit(out, line)?;
+        JsonObject::new(&mut line, Layout::SPACED)
+            .str("name", name)
+            .str("cat", "counter")
+            .str("ph", "C")
+            .num("pid", 0)
+            .num("ts", log.observed_end.cycles())
+            .obj("args")
+            .num("value", value);
+        emit(out, &mut line)?;
     }
 
-    writeln!(out)?;
-    writeln!(out, "  ]")?;
-    writeln!(out, "}}")
+    writeln!(out, "\n  ]\n}}")
 }
 
 #[cfg(test)]

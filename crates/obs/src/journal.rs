@@ -9,9 +9,9 @@
 //! <16 lowercase hex digits of FNV-1a over the payload> <payload JSON>\n
 //! ```
 //!
-//! The payload is compact single-line JSON written and read with this
-//! crate's serde-free [`parse_json`]/[`append_json_string`] machinery —
-//! no new dependencies. The checksum prefix makes every record
+//! The payload is compact single-line JSON written with this crate's
+//! [`json_line`](crate::json_line) and read with [`parse_json`] — no
+//! new dependencies. The checksum prefix makes every record
 //! *self-validating*: a truncated tail (the normal artifact of
 //! `SIGKILL` mid-append), a flipped bit, or any other corruption is
 //! detected on read and reported as a [`JournalDefect`] — never
@@ -28,11 +28,38 @@ use crate::json::{parse_json, JsonValue};
 
 /// FNV-1a over `bytes` — the workspace's standard 64-bit digest.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    Fnv1a::new().write(bytes).finish()
+}
+
+/// A streaming [`fnv1a`]: the digest of every [`write`](Fnv1a::write)
+/// concatenated, without building the concatenation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher that has eaten nothing yet.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feeds `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        self
+    }
+
+    /// The digest of everything fed so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
 }
 
 /// An append-only journal writer. Every [`append`](Journal::append) is
@@ -107,9 +134,9 @@ impl Journal {
     }
 
     /// Appends one record and flushes it. `payload` must be single-line
-    /// JSON (the caller builds it with [`append_json_string`] and
-    /// friends); a payload containing a newline is rejected because it
-    /// would corrupt the line framing.
+    /// JSON (the caller builds it with [`json_line`](crate::json_line));
+    /// a payload containing a newline is rejected because it would
+    /// corrupt the line framing.
     ///
     /// The full `checksum payload\n` line is issued as one `write`
     /// call, then flushed, so the record either reaches the OS whole or
@@ -120,8 +147,6 @@ impl Journal {
     ///
     /// `InvalidInput` for a payload with a newline, otherwise I/O
     /// errors from the underlying file.
-    ///
-    /// [`append_json_string`]: crate::append_json_string
     pub fn append(&mut self, payload: &str) -> io::Result<()> {
         if payload.contains('\n') {
             return Err(io::Error::new(

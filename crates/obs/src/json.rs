@@ -1,17 +1,23 @@
-//! A serde-free JSON parser with a well-formedness check on top.
+//! Serde-free JSON: a parser, typed field readers, and an append-only
+//! writer.
 //!
-//! [`parse_json`] reads one RFC 8259 document into a [`JsonValue`] tree
-//! so protocol layers (the `tve-serve` daemon wire format) and the bench
-//! gates can consume hand-formatted JSON without serde. It accepts
-//! exactly one top-level value (plus whitespace) and rejects trailing
-//! garbage, unterminated strings, bad escapes, unpaired surrogates and
-//! malformed numbers.
+//! [`parse_json`] reads one RFC 8259 document into a [`JsonValue`] tree.
+//! It accepts exactly one top-level value (plus whitespace) and rejects
+//! trailing garbage, unterminated strings, bad escapes, unpaired
+//! surrogates and malformed numbers. [`check_json`] is the same grammar
+//! with the tree thrown away. Decoders read required members with the
+//! typed readers ([`JsonValue::str_field`], [`JsonValue::int_field`],
+//! [`JsonValue::hex_field`], …), whose errors name the field.
 //!
-//! [`check_json`] is the same grammar with the tree thrown away: the
-//! exporters in this crate hand-format JSON, and tests use it to prove
-//! the output is structurally valid.
+//! [`JsonObject`] and [`JsonArray`] write straight into the caller's
+//! `String` — no tree, no allocation per member — and close their
+//! bracket when dropped. A [`Layout`] picks the separators: compact
+//! (`,` `:`) for wire records and protocol frames, spaced (`, ` `: `)
+//! for single-line artifact records, or one member per line for the
+//! pretty artifacts. Every JSON byte the workspace emits goes through
+//! them, so one escaping rule and one number format hold everywhere.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Why a document failed [`check_json`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,20 +111,105 @@ impl JsonValue {
         }
     }
 
-    /// The elements as owned strings, if this is an array of strings.
-    pub fn as_str_vec(&self) -> Option<Vec<String>> {
-        self.as_arr()?
-            .iter()
-            .map(|v| v.as_str().map(str::to_string))
-            .collect()
-    }
-
     /// The element list, if this is an array.
     pub fn as_arr(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    // The required-member readers: each error names the field.
+
+    /// Required member `key`.
+    pub fn field(&self, key: &str) -> Result<&JsonValue, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    fn typed<'v, T>(
+        &'v self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'v JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(read)
+            .ok_or_else(|| format!("missing or non-{what} field '{key}'"))
+    }
+
+    /// Required string member `key`.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.typed(key, "string", JsonValue::as_str)
+    }
+
+    /// Required integer member `key` (exact, up to 2^53), converted to `T`.
+    pub fn int_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let n = self.typed(key, "integer", JsonValue::as_u64)?;
+        T::try_from(n).map_err(|_| format!("field '{key}' out of range"))
+    }
+
+    /// Required boolean member `key`.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "boolean", JsonValue::as_bool)
+    }
+
+    /// Required member `key` holding a `u64` as a hex string, the way
+    /// digests and values above 2^53 travel.
+    pub fn hex_field(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "hex", |v| u64::from_str_radix(v.as_str()?, 16).ok())
+    }
+
+    /// Required array member `key`.
+    pub fn arr_field(&self, key: &str) -> Result<&[JsonValue], String> {
+        self.typed(key, "array", JsonValue::as_arr)
+    }
+
+    /// Required string-array member `key`.
+    pub fn strs_field(&self, key: &str) -> Result<Vec<String>, String> {
+        self.typed(key, "string-array", |v| {
+            v.as_arr()?
+                .iter()
+                .map(|s| s.as_str().map(str::to_string))
+                .collect()
+        })
+    }
+
+    fn append_to(&self, out: &mut String) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => {
+                let _ = write!(out, "{}", *n as i64);
+            }
+            JsonValue::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            JsonValue::Str(s) => append_json_string(out, s),
+            JsonValue::Arr(items) => {
+                let mut arr = JsonArray::new(out, Layout::COMPACT);
+                for item in items {
+                    arr.value(item);
+                }
+            }
+            JsonValue::Obj(members) => {
+                let mut obj = JsonObject::new(out, Layout::COMPACT);
+                for (key, item) in members {
+                    obj.value(key, item);
+                }
+            }
+        }
+    }
+}
+
+impl fmt::Display for JsonValue {
+    /// The value as compact JSON. Integral numbers below 9e15 print
+    /// without a fraction, other numbers in Rust's shortest round-trip
+    /// `f64` form.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.append_to(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -385,11 +476,8 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     Ok(value)
 }
 
-/// Appends `text` to `out` as a JSON string literal (quoted, escaped).
-///
-/// This is the emit-side companion of [`parse_json`]: the workspace's
-/// hand-built JSON writers share one escaping rule instead of each
-/// carrying their own.
+/// Appends `text` to `out` as a JSON string literal (quoted, escaped):
+/// the one escaping rule of every JSON writer in the workspace.
 pub fn append_json_string(out: &mut String, text: &str) {
     out.push('"');
     for ch in text.chars() {
@@ -400,7 +488,7 @@ pub fn append_json_string(out: &mut String, text: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -408,18 +496,294 @@ pub fn append_json_string(out: &mut String, text: &str) {
     out.push('"');
 }
 
-/// Appends `items` to `out` as JSON string literals separated by `sep`
-/// (the enclosing brackets are the caller's).
-pub fn append_json_strings<'a>(
-    out: &mut String,
-    items: impl IntoIterator<Item = &'a str>,
-    sep: &str,
-) {
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(sep);
+/// The separators a [`JsonObject`] or [`JsonArray`] writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    comma: &'static str,
+    colon: &'static str,
+    indent: &'static str,
+    end: &'static str,
+}
+
+impl Layout {
+    /// `{"a":1,"b":[2,3]}`: wire records and protocol frames.
+    pub const COMPACT: Layout = Layout {
+        comma: ",",
+        colon: ":",
+        indent: "",
+        end: "",
+    };
+
+    /// `{"a": 1, "b": [2, 3]}`: single-line artifact records.
+    pub const SPACED: Layout = Layout {
+        comma: ", ",
+        colon: ": ",
+        indent: "",
+        end: "",
+    };
+
+    /// One member per line: `indent` (newline and indentation) before
+    /// every member, `end` before the closing bracket even when empty.
+    pub const fn lines(indent: &'static str, end: &'static str) -> Layout {
+        Layout {
+            comma: ",",
+            colon: ": ",
+            indent,
+            end,
         }
-        append_json_string(out, item);
+    }
+
+    /// A nested container's default: its parent's layout, except that
+    /// one-member-per-line containers nest spaced ones.
+    fn nested(self) -> Layout {
+        if self.indent.is_empty() {
+            self
+        } else {
+            Layout::SPACED
+        }
+    }
+}
+
+/// The shared state of an open object or array.
+struct Open<'a> {
+    out: &'a mut String,
+    layout: Layout,
+    empty: bool,
+    close: char,
+}
+
+impl<'a> Open<'a> {
+    fn new(out: &'a mut String, layout: Layout, open: char, close: char) -> Self {
+        out.push(open);
+        Open {
+            out,
+            layout,
+            empty: true,
+            close,
+        }
+    }
+
+    /// Starts the next member: separator, indentation and, in an
+    /// object, the key.
+    fn next(&mut self, key: Option<&str>) -> &mut String {
+        if !self.empty {
+            self.out.push_str(self.layout.comma);
+        }
+        self.empty = false;
+        self.out.push_str(self.layout.indent);
+        if let Some(key) = key {
+            append_json_string(self.out, key);
+            self.out.push_str(self.layout.colon);
+        }
+        self.out
+    }
+}
+
+impl Drop for Open<'_> {
+    fn drop(&mut self) {
+        self.out.push_str(self.layout.end);
+        self.out.push(self.close);
+    }
+}
+
+/// An open JSON object writing into a caller's `String`; the closing
+/// `}` is written when it is dropped.
+///
+/// ```
+/// use tve_obs::{JsonObject, Layout};
+///
+/// let mut out = String::new();
+/// JsonObject::new(&mut out, Layout::SPACED)
+///     .str("name", "T1 \"bist\"")
+///     .num("cycles", 1200)
+///     .fixed("share", 0.25, 3)
+///     .strs("tags", ["a", "b"]);
+/// assert_eq!(
+///     out,
+///     r#"{"name": "T1 \"bist\"", "cycles": 1200, "share": 0.250, "tags": ["a", "b"]}"#
+/// );
+/// ```
+pub struct JsonObject<'a>(Open<'a>);
+
+impl<'a> JsonObject<'a> {
+    /// Writes `{` and opens an object in `layout`.
+    pub fn new(out: &'a mut String, layout: Layout) -> Self {
+        JsonObject(Open::new(out, layout, '{', '}'))
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        append_json_string(self.0.next(Some(key)), value);
+        self
+    }
+
+    /// A number member in its `Display` form (integers, or a float's
+    /// shortest round-trip form).
+    pub fn num(&mut self, key: &str, value: impl fmt::Display) -> &mut Self {
+        let _ = write!(self.0.next(Some(key)), "{value}");
+        self
+    }
+
+    /// A float member with exactly `decimals` fractional digits.
+    pub fn fixed(&mut self, key: &str, value: f64, decimals: usize) -> &mut Self {
+        let _ = write!(self.0.next(Some(key)), "{value:.decimals$}");
+        self
+    }
+
+    /// A `u64` member as a 16-digit hex string (digests, fingerprints,
+    /// and values a JSON number cannot carry exactly).
+    pub fn hex(&mut self, key: &str, value: u64) -> &mut Self {
+        let _ = write!(self.0.next(Some(key)), "\"{value:016x}\"");
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.raw(key, if value { "true" } else { "false" })
+    }
+
+    /// A `null` member.
+    pub fn null(&mut self, key: &str) -> &mut Self {
+        self.raw(key, "null")
+    }
+
+    /// A member whose value is already-rendered JSON.
+    pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
+        self.0.next(Some(key)).push_str(json);
+        self
+    }
+
+    fn value(&mut self, key: &str, value: &JsonValue) {
+        value.append_to(self.0.next(Some(key)));
+    }
+
+    /// An array-of-strings member, in this object's nested layout.
+    pub fn strs<S: AsRef<str>>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = S>,
+    ) -> &mut Self {
+        let mut arr = self.arr(key);
+        for item in items {
+            arr.str(item.as_ref());
+        }
+        drop(arr);
+        self
+    }
+
+    /// An array-of-numbers member, in this object's nested layout.
+    pub fn nums<T: fmt::Display>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+    ) -> &mut Self {
+        let mut arr = self.arr(key);
+        for item in items {
+            arr.num(item);
+        }
+        drop(arr);
+        self
+    }
+
+    /// An array member holding one object per item, each filled by
+    /// `write`, in this object's nested layout.
+    pub fn objs<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        write: impl FnMut(&mut JsonObject, T),
+    ) -> &mut Self {
+        let layout = self.0.layout.nested();
+        self.objs_in(key, layout, items, write)
+    }
+
+    /// [`objs`](JsonObject::objs) with the array in `layout`.
+    pub fn objs_in<T>(
+        &mut self,
+        key: &str,
+        layout: Layout,
+        items: impl IntoIterator<Item = T>,
+        mut write: impl FnMut(&mut JsonObject, T),
+    ) -> &mut Self {
+        let mut arr = self.arr_in(key, layout);
+        for item in items {
+            write(&mut arr.obj(), item);
+        }
+        drop(arr);
+        self
+    }
+
+    /// Opens an object member in this object's nested layout.
+    pub fn obj(&mut self, key: &str) -> JsonObject<'_> {
+        let layout = self.0.layout.nested();
+        self.obj_in(key, layout)
+    }
+
+    /// Opens an object member in `layout`.
+    pub fn obj_in(&mut self, key: &str, layout: Layout) -> JsonObject<'_> {
+        JsonObject::new(self.0.next(Some(key)), layout)
+    }
+
+    /// Opens an array member in this object's nested layout.
+    pub fn arr(&mut self, key: &str) -> JsonArray<'_> {
+        let layout = self.0.layout.nested();
+        self.arr_in(key, layout)
+    }
+
+    /// Opens an array member in `layout`.
+    pub fn arr_in(&mut self, key: &str, layout: Layout) -> JsonArray<'_> {
+        JsonArray::new(self.0.next(Some(key)), layout)
+    }
+}
+
+/// A compact single-line object filled by `write`: a wire record or a
+/// protocol frame.
+pub fn json_line(write: impl FnOnce(&mut JsonObject)) -> String {
+    let mut out = String::new();
+    write(&mut JsonObject::new(&mut out, Layout::COMPACT));
+    out
+}
+
+/// A pretty-printed document: a top-level object filled by `write`,
+/// one member per line at a two-space indent, ending with a newline —
+/// the layout of the workspace's JSON artifacts.
+pub fn json_document(write: impl FnOnce(&mut JsonObject)) -> String {
+    let mut out = String::new();
+    write(&mut JsonObject::new(&mut out, Layout::lines("\n  ", "\n")));
+    out.push('\n');
+    out
+}
+
+/// An open JSON array writing into a caller's `String` (see
+/// [`JsonObject::arr_in`]); the closing `]` is written when it is
+/// dropped.
+pub struct JsonArray<'a>(Open<'a>);
+
+impl<'a> JsonArray<'a> {
+    fn new(out: &'a mut String, layout: Layout) -> Self {
+        JsonArray(Open::new(out, layout, '[', ']'))
+    }
+
+    fn str(&mut self, value: &str) {
+        append_json_string(self.0.next(None), value);
+    }
+
+    fn num(&mut self, value: impl fmt::Display) {
+        let _ = write!(self.0.next(None), "{value}");
+    }
+
+    fn value(&mut self, value: &JsonValue) {
+        value.append_to(self.0.next(None));
+    }
+
+    fn obj(&mut self) -> JsonObject<'_> {
+        let layout = self.0.layout.nested();
+        self.obj_in(layout)
+    }
+
+    /// Opens an object element in `layout`.
+    pub fn obj_in(&mut self, layout: Layout) -> JsonObject<'_> {
+        JsonObject::new(self.0.next(None), layout)
     }
 }
 
@@ -518,5 +882,78 @@ mod tests {
             check_json(&doc).unwrap();
             assert_eq!(parse_json(&doc).unwrap().as_str(), Some(text));
         }
+    }
+
+    #[test]
+    fn writer_layouts_nest_and_close_on_drop() {
+        let mut out = String::new();
+        let mut doc = JsonObject::new(&mut out, Layout::lines("\n  ", "\n"));
+        doc.num("n", 3)
+            .hex("fp", 0xbeef)
+            .bool("ok", true)
+            .null("none");
+        doc.arr_in("rows", Layout::lines("\n    ", "\n  "))
+            .obj()
+            .fixed("x", 1.0 / 3.0, 3)
+            .nums("v", [1, 2]);
+        drop(doc.arr_in("empty", Layout::lines("\n    ", "\n  ")));
+        drop(doc);
+        assert_eq!(
+            out,
+            "{\n  \"n\": 3,\n  \"fp\": \"000000000000beef\",\n  \"ok\": true,\n  \
+             \"none\": null,\n  \"rows\": [\n    {\"x\": 0.333, \"v\": [1, 2]}\n  ],\n  \
+             \"empty\": [\n  ]\n}"
+        );
+        check_json(&out).unwrap();
+
+        let mut out = String::new();
+        JsonObject::new(&mut out, Layout::COMPACT)
+            .str("k", "a\"b")
+            .raw("r", "{}")
+            .obj("o")
+            .strs("s", ["x", "y"]);
+        assert_eq!(out, r#"{"k":"a\"b","r":{},"o":{"s":["x","y"]}}"#);
+    }
+
+    #[test]
+    fn values_render_compactly_and_round_trip() {
+        let text =
+            r#"{"a": 1, "b": -2.5, "c": -0.0, "d": 1e20, "s": "x\n", "v": [true, null, {}]}"#;
+        let v = parse_json(text).unwrap();
+        let rendered = v.to_string();
+        assert_eq!(
+            rendered,
+            r#"{"a":1,"b":-2.5,"c":0,"d":100000000000000000000,"s":"x\n","v":[true,null,{}]}"#
+        );
+        assert_eq!(parse_json(&rendered).unwrap(), v);
+    }
+
+    #[test]
+    fn typed_readers_name_the_field() {
+        let v = parse_json(r#"{"s": "x", "n": 300, "h": "ff", "b": false, "a": ["p"], "m": 1.5}"#)
+            .unwrap();
+        assert_eq!(v.str_field("s"), Ok("x"));
+        assert_eq!(v.int_field::<u64>("n"), Ok(300));
+        assert_eq!(v.hex_field("h"), Ok(255));
+        assert_eq!(v.bool_field("b"), Ok(false));
+        assert_eq!(v.strs_field("a"), Ok(vec!["p".to_string()]));
+        assert_eq!(v.arr_field("a").map(<[_]>::len), Ok(1));
+        assert_eq!(v.field("zz").unwrap_err(), "missing field 'zz'");
+        assert_eq!(
+            v.str_field("n").unwrap_err(),
+            "missing or non-string field 'n'"
+        );
+        assert_eq!(
+            v.int_field::<u64>("m").unwrap_err(),
+            "missing or non-integer field 'm'"
+        );
+        assert_eq!(
+            v.int_field::<u8>("n").unwrap_err(),
+            "field 'n' out of range"
+        );
+        assert_eq!(
+            v.hex_field("s").unwrap_err(),
+            "missing or non-hex field 's'"
+        );
     }
 }

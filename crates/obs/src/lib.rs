@@ -68,9 +68,12 @@ pub use agg::{earliest_span_end, utilization_from_spans, UtilizationSummary};
 pub use chrome::write_chrome_trace;
 pub use csv::{write_metrics_csv, write_spans_csv};
 pub use faultio::{FaultSink, IoPolicy, WriteFault};
-pub use journal::{fnv1a, parse_journal, read_journal, Journal, JournalContents, JournalDefect};
+pub use journal::{
+    fnv1a, parse_journal, read_journal, Fnv1a, Journal, JournalContents, JournalDefect,
+};
 pub use json::{
-    append_json_string, append_json_strings, check_json, parse_json, JsonError, JsonValue,
+    append_json_string, check_json, json_document, json_line, parse_json, JsonArray, JsonError,
+    JsonObject, JsonValue, Layout,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
 pub use ops::{OpsCounters, OpsEvent, EVENT_RING};

@@ -14,6 +14,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
+use crate::json::{JsonObject, Layout};
+
 /// Capacity of the recent-event ring; older events are dropped.
 pub const EVENT_RING: usize = 256;
 
@@ -110,16 +112,12 @@ impl OpsCounters {
     /// Renders the counters as a compact JSON object (`{}` when empty),
     /// keys in sorted order — deterministic given the same counts.
     pub fn to_json(&self) -> String {
-        let snap = self.snapshot();
-        let mut out = String::from("{");
-        for (i, (name, value)) in snap.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            crate::append_json_string(&mut out, name);
-            out.push_str(&format!(": {value}"));
+        let mut out = String::new();
+        let mut obj = JsonObject::new(&mut out, Layout::SPACED);
+        for (name, value) in self.snapshot() {
+            obj.num(&name, value);
         }
-        out.push('}');
+        drop(obj);
         out
     }
 }

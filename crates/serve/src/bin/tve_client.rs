@@ -12,9 +12,9 @@
 use std::process::ExitCode;
 
 use tve_campaign::{merge_shards, ShardReport, ShardSpec};
-use tve_obs::JsonValue;
+use tve_obs::{fnv1a, json_line, parse_json, JsonValue};
 use tve_serve::{
-    render_response, request_with_retry, submit_with_retry, Client, JobKind, JobSpec, RetryPolicy,
+    request_with_retry, result_request, submit_with_retry, Client, JobKind, JobSpec, RetryPolicy,
 };
 use tve_soc::{PlanOverrides, Workload, WorkloadPreset};
 
@@ -279,13 +279,6 @@ fn write_out(path: &Option<String>, text: &str, what: &str) -> Result<(), String
     Ok(())
 }
 
-fn field_str<'v>(result: &'v JsonValue, name: &str) -> Result<&'v str, String> {
-    result
-        .get(name)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("result had no {name:?} field"))
-}
-
 fn submit(client: &mut Client, cli: &Cli, kind: JobKind) -> Result<Option<JsonValue>, String> {
     let job = JobSpec {
         workload: workload(cli),
@@ -302,7 +295,7 @@ fn submit(client: &mut Client, cli: &Cli, kind: JobKind) -> Result<Option<JsonVa
         Some(policy) => submit_with_retry(&cli.socket, &job, &policy).map_err(|e| e.to_string())?,
         None => client.submit(&job)?,
     };
-    write_out(&cli.out, &render_response(&result), "result")?;
+    write_out(&cli.out, &result.to_string(), "result")?;
     Ok(Some(result))
 }
 
@@ -354,19 +347,14 @@ fn fan_out_campaign(
         // response frame can be retried on a fresh connection without
         // resubmitting the shard.
         let response = match cli.retry_policy() {
-            Some(policy) => request_with_retry(
-                &cli.socket,
-                &format!("{{\"cmd\":\"result\",\"id\":{id},\"wait\":true}}"),
-                &policy,
-            )
-            .map_err(|e| e.to_string())?,
+            Some(policy) => request_with_retry(&cli.socket, &result_request(id, true), &policy)
+                .map_err(|e| e.to_string())?,
             None => client.result(id, true)?,
         };
         let result = response
             .get("result")
             .ok_or_else(|| format!("job {id} finished without a result object"))?;
-        let shard_json = field_str(result, "shard_json")?;
-        reports.push(ShardReport::from_json(shard_json)?);
+        reports.push(ShardReport::from_json(result.str_field("shard_json")?)?);
     }
     let merged = merge_shards(&config, &reports)?;
 
@@ -374,24 +362,21 @@ fn fan_out_campaign(
     let json = merged.to_json();
     write_out(&cli.csv, &csv, "campaign CSV")?;
     write_out(&cli.json, &json, "campaign JSON")?;
-    let mut summary = format!(
-        "{{\"kind\":\"campaign\",\"fan_out\":{count},\"cells\":{},\"csv_digest\":\"{:016x}\",\"coverage\":[",
-        merged.cells.len(),
-        tve_obs::fnv1a(csv.as_bytes()),
-    );
-    for (i, name) in ["proc", "cc", "dct"].iter().enumerate() {
-        if i > 0 {
-            summary.push(',');
-        }
-        summary.push_str(&format!(
-            "{{\"core\":\"{name}\",\"coverage\":{:.4}}}",
-            merged.core_coverage(name)
-        ));
-    }
-    summary.push_str("]}");
-    let parsed = tve_obs::parse_json(&summary).expect("summary JSON is well-formed");
-    write_out(&cli.out, &render_response(&parsed), "result")?;
-    println!("{}", render_response(&parsed));
+    // Coverage is printed the way every response renders numbers: the
+    // summary is parsed back before printing.
+    let summary = json_line(|o| {
+        o.str("kind", "campaign")
+            .num("fan_out", count)
+            .num("cells", merged.cells.len())
+            .hex("csv_digest", fnv1a(csv.as_bytes()))
+            .objs("coverage", ["proc", "cc", "dct"], |row, name| {
+                row.str("core", name)
+                    .fixed("coverage", merged.core_coverage(name), 4);
+            });
+    });
+    let summary = parse_json(&summary).expect("summary JSON is well-formed");
+    write_out(&cli.out, &summary.to_string(), "result")?;
+    println!("{summary}");
     Ok(())
 }
 
@@ -407,9 +392,9 @@ fn run() -> Result<(), String> {
                     .map_err(|e| e.to_string())?,
                 None => client.ping()?,
             };
-            println!("{}", render_response(&response));
+            println!("{response}");
         }
-        "stats" => println!("{}", render_response(&client.stats()?)),
+        "stats" => println!("{}", client.stats()?),
         "shutdown" => {
             client.shutdown()?;
             println!("{{\"ok\":true}}");
@@ -421,7 +406,7 @@ fn run() -> Result<(), String> {
         "schedule" => {
             let index = cli.index.ok_or("schedule wants --index N (1..=4)")?;
             if let Some(result) = submit(&mut client, &cli, JobKind::Schedule { index })? {
-                println!("{}", render_response(&result));
+                println!("{result}");
             }
         }
         "campaign" => {
@@ -436,8 +421,8 @@ fn run() -> Result<(), String> {
                 return fan_out_campaign(&mut client, &cli, kind, count);
             }
             if let Some(result) = submit(&mut client, &cli, kind)? {
-                write_out(&cli.csv, field_str(&result, "csv")?, "campaign CSV")?;
-                write_out(&cli.json, field_str(&result, "json")?, "campaign JSON")?;
+                write_out(&cli.csv, result.str_field("csv")?, "campaign CSV")?;
+                write_out(&cli.json, result.str_field("json")?, "campaign JSON")?;
                 // The matrix artifacts go to files; print the summary
                 // without them.
                 let JsonValue::Obj(fields) = &result else {
@@ -450,7 +435,7 @@ fn run() -> Result<(), String> {
                         .cloned()
                         .collect(),
                 );
-                println!("{}", render_response(&summary));
+                println!("{summary}");
             }
         }
         "lint" => {
@@ -466,7 +451,7 @@ fn run() -> Result<(), String> {
                 program,
             };
             if let Some(result) = submit(&mut client, &cli, kind)? {
-                println!("{}", render_response(&result));
+                println!("{result}");
             }
         }
         "bounds" => {
@@ -474,7 +459,7 @@ fn run() -> Result<(), String> {
                 schedules: cli.schedules.clone().unwrap_or_else(|| (1..=4).collect()),
             };
             if let Some(result) = submit(&mut client, &cli, kind)? {
-                println!("{}", render_response(&result));
+                println!("{result}");
             }
         }
         "status" => {
@@ -484,12 +469,12 @@ fn run() -> Result<(), String> {
         "result" => {
             let id = cli.id.ok_or("result wants --id N")?;
             let response = client.result(id, cli.wait)?;
-            write_out(&cli.out, &render_response(&response), "result")?;
-            println!("{}", render_response(&response));
+            write_out(&cli.out, &response.to_string(), "result")?;
+            println!("{response}");
         }
         "invalidate" => {
             let response = client.invalidate(&workload(&cli), &cli.overrides)?;
-            println!("{}", render_response(&response));
+            println!("{response}");
         }
         other => return Err(format!("unknown command {other:?}\n{USAGE}")),
     }

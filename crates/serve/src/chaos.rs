@@ -28,6 +28,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tve_obs::json_line;
+
 /// The injectable fault sites. See the module table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosSite {
@@ -182,26 +184,16 @@ impl ChaosSpec {
     /// Compact JSON object `{"site":{"seen":N,"fired":M},...}` for the
     /// `stats` response — only sites with activity or clauses.
     pub fn counters_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for site in ChaosSite::ALL {
-            let seen = self.seen(site);
-            let fired = self.fired(site);
-            let configured = self.clauses.iter().any(|c| c.site == site);
-            if seen == 0 && !configured {
-                continue;
+        json_line(|o| {
+            for site in ChaosSite::ALL {
+                let seen = self.seen(site);
+                if seen > 0 || self.clauses.iter().any(|c| c.site == site) {
+                    o.obj(site.as_str())
+                        .num("seen", seen)
+                        .num("fired", self.fired(site));
+                }
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\":{{\"seen\":{seen},\"fired\":{fired}}}",
-                site.as_str()
-            ));
-        }
-        out.push('}');
-        out
+        })
     }
 }
 

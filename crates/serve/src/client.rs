@@ -17,10 +17,10 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use tve_obs::{append_json_string, parse_json, JsonValue};
+use tve_obs::{json_line, parse_json, JsonValue};
 use tve_soc::{PlanOverrides, Workload};
 
-use crate::proto::{encode_overrides, encode_workload, read_frame, write_frame, JobSpec};
+use crate::proto::{read_frame, write_frame, write_overrides, write_workload, JobSpec};
 
 /// A daemon failure as seen by the client, with the machine-readable
 /// kind preserved so retry policy can act on it. `kind` is one of the
@@ -145,15 +145,28 @@ pub fn submit_with_retry(
     job: &JobSpec,
     policy: &RetryPolicy,
 ) -> Result<JsonValue, DaemonError> {
-    let request = format!(
-        "{{\"cmd\":\"submit\",\"wait\":true,\"job\":{}}}",
-        job.to_json()
-    );
-    let response = request_with_retry(socket, &request, policy)?;
+    let response = request_with_retry(socket, &submit_request(job, true), policy)?;
     response
         .get("result")
         .cloned()
         .ok_or_else(|| DaemonError::transport("submit response had no result"))
+}
+
+/// The `submit` request frame for `job`.
+fn submit_request(job: &JobSpec, wait: bool) -> String {
+    json_line(|o| {
+        o.str("cmd", "submit")
+            .bool("wait", wait)
+            .raw("job", &job.to_json());
+    })
+}
+
+/// The `result` request frame for job `id`; with `wait` the daemon
+/// answers once the job has finished.
+pub fn result_request(id: u64, wait: bool) -> String {
+    json_line(|o| {
+        o.str("cmd", "result").num("id", id).bool("wait", wait);
+    })
 }
 
 /// A connected `tve-serve` client.
@@ -177,18 +190,9 @@ impl Client {
     }
 
     /// Sends one request and returns the parsed response, mapping both
-    /// transport failures and `"ok": false` responses to `Err`.
+    /// transport failures and `"ok": false` responses to their message.
     pub fn request(&mut self, request: &str) -> Result<JsonValue, String> {
-        let text = self.request_text(request).map_err(|e| e.to_string())?;
-        let value = parse_json(&text).map_err(|e| format!("bad response: {e}"))?;
-        match value.get("ok").and_then(JsonValue::as_bool) {
-            Some(true) => Ok(value),
-            _ => Err(value
-                .get("error")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("daemon reported failure")
-                .to_string()),
-        }
+        self.request_typed(request).map_err(|e| e.message)
     }
 
     /// [`request`](Client::request) with the daemon's typed error
@@ -200,22 +204,15 @@ impl Client {
             .map_err(|e| DaemonError::transport(e.to_string()))?;
         let value =
             parse_json(&text).map_err(|e| DaemonError::transport(format!("bad response: {e}")))?;
-        match value.get("ok").and_then(JsonValue::as_bool) {
-            Some(true) => Ok(value),
-            _ => Err(DaemonError {
-                kind: value
-                    .get("error_kind")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("internal")
-                    .to_string(),
-                message: value
-                    .get("error")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("daemon reported failure")
-                    .to_string(),
-                retry_after_ms: value.get("retry_after_ms").and_then(JsonValue::as_u64),
-            }),
+        if value.get("ok") == Some(&JsonValue::Bool(true)) {
+            return Ok(value);
         }
+        let text = |key, default| value.str_field(key).unwrap_or(default).to_string();
+        Err(DaemonError {
+            kind: text("error_kind", "internal"),
+            message: text("error", "daemon reported failure"),
+            retry_after_ms: value.get("retry_after_ms").and_then(JsonValue::as_u64),
+        })
     }
 
     /// Round-trips a `ping`; returns the daemon's response object.
@@ -231,11 +228,7 @@ impl Client {
     /// Submits `job` and blocks until it completes; returns the job's
     /// `result` object.
     pub fn submit(&mut self, job: &JobSpec) -> Result<JsonValue, String> {
-        let request = format!(
-            "{{\"cmd\":\"submit\",\"wait\":true,\"job\":{}}}",
-            job.to_json()
-        );
-        let response = self.request(&request)?;
+        let response = self.request(&submit_request(job, true))?;
         response
             .get("result")
             .cloned()
@@ -244,11 +237,7 @@ impl Client {
 
     /// Submits `job` without waiting; returns its job id.
     pub fn submit_async(&mut self, job: &JobSpec) -> Result<u64, String> {
-        let request = format!(
-            "{{\"cmd\":\"submit\",\"wait\":false,\"job\":{}}}",
-            job.to_json()
-        );
-        let response = self.request(&request)?;
+        let response = self.request(&submit_request(job, false))?;
         response
             .get("id")
             .and_then(JsonValue::as_u64)
@@ -257,7 +246,9 @@ impl Client {
 
     /// Asks for a job's state (`"running"`, `"done"`, `"failed"`).
     pub fn status(&mut self, id: u64) -> Result<String, String> {
-        let response = self.request(&format!("{{\"cmd\":\"status\",\"id\":{id}}}"))?;
+        let response = self.request(&json_line(|o| {
+            o.str("cmd", "status").num("id", id);
+        }))?;
         response
             .get("state")
             .and_then(JsonValue::as_str)
@@ -268,9 +259,7 @@ impl Client {
     /// Fetches a job's result; with `wait` the daemon blocks until the
     /// job finishes. Returns the whole response (state plus result).
     pub fn result(&mut self, id: u64, wait: bool) -> Result<JsonValue, String> {
-        self.request(&format!(
-            "{{\"cmd\":\"result\",\"id\":{id},\"wait\":{wait}}}"
-        ))
+        self.request(&result_request(id, wait))
     }
 
     /// Reports the blast radius of `edit` on `workload` and evicts the
@@ -280,12 +269,10 @@ impl Client {
         workload: &Workload,
         edit: &PlanOverrides,
     ) -> Result<JsonValue, String> {
-        let mut request = String::from("{\"cmd\":\"invalidate\",\"workload\":");
-        encode_workload(workload, &mut request);
-        request.push_str(",\"edit\":");
-        encode_overrides(edit, &mut request);
-        request.push('}');
-        self.request(&request)
+        self.request(&json_line(|o| {
+            write_workload(&mut o.str("cmd", "invalidate").obj("workload"), workload);
+            write_overrides(&mut o.obj("edit"), edit);
+        }))
     }
 
     /// Asks the daemon to shut down cleanly.
@@ -297,51 +284,6 @@ impl Client {
     /// persist the cache snapshot, refuse new submissions.
     pub fn drain(&mut self) -> Result<(), String> {
         self.request("{\"cmd\":\"drain\"}").map(|_| ())
-    }
-}
-
-/// Renders a response object as pretty single-line JSON for CLI output
-/// (string values re-escaped through the `tve-obs` emitter).
-pub fn render_response(value: &JsonValue) -> String {
-    let mut out = String::new();
-    render_into(value, &mut out);
-    out
-}
-
-fn render_into(value: &JsonValue, out: &mut String) {
-    match value {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
-        JsonValue::Str(s) => append_json_string(out, s),
-        JsonValue::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
-            }
-            out.push(']');
-        }
-        JsonValue::Obj(fields) => {
-            out.push('{');
-            for (i, (name, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                append_json_string(out, name);
-                out.push(':');
-                render_into(item, out);
-            }
-            out.push('}');
-        }
     }
 }
 

@@ -40,7 +40,7 @@ use tve_campaign::{
 };
 use tve_core::Schedule;
 use tve_obs::{
-    append_json_string, append_json_strings, fnv1a, parse_json, IoPolicy, JsonValue, OpsCounters,
+    fnv1a, json_line, parse_json, Fnv1a, IoPolicy, JsonObject, JsonValue, Layout, OpsCounters,
     WriteFault,
 };
 use tve_sched::{panic_message, ChaosFault, ChaosHook, Farm, SupervisePolicy};
@@ -53,6 +53,7 @@ use crate::chaos::{ChaosSite, ChaosSpec};
 use crate::error::ServeError;
 use crate::invalidate::edit_impact;
 use crate::key::{bounds_key, cell_key, diagnosis_key, lint_key, schedule_tests, test_mask};
+use crate::persist::entry_payload;
 use crate::proto::{read_frame, write_frame, JobKind, JobSpec};
 
 /// The default socket path (also the `TVE_SERVE_SOCKET` default).
@@ -601,11 +602,11 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
         .and_then(JsonValue::as_str)
         .ok_or_else(|| ServeError::protocol("request wants a \"cmd\" string"))?;
     match cmd {
-        "ping" => Ok(format!(
-            "{{\"ok\":true,\"pid\":{},\"workers\":{}}}",
-            std::process::id(),
-            shared.farm.workers()
-        )),
+        "ping" => Ok(json_line(|o| {
+            o.bool("ok", true)
+                .num("pid", std::process::id())
+                .num("workers", shared.farm.workers());
+        })),
         "stats" => Ok(stats_response(shared)),
         "shutdown" => {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -657,7 +658,9 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                 drop(ticket);
                 finish_job(shared, id, &result);
                 let body = result?;
-                Ok(format!("{{\"ok\":true,\"id\":{id},\"result\":{body}}}"))
+                Ok(json_line(|o| {
+                    o.bool("ok", true).num("id", id).raw("result", &body);
+                }))
             } else {
                 let job_shared = Arc::clone(shared);
                 std::thread::Builder::new()
@@ -668,7 +671,7 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
                         finish_job(&job_shared, id, &result);
                     })
                     .map_err(|e| ServeError::internal(format!("cannot spawn job thread: {e}")))?;
-                Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"running\"}}"))
+                Ok(job_state(id, "running", |_| {}))
             }
         }
         "status" | "result" => {
@@ -692,26 +695,16 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
             }
             match table.jobs.get(&id) {
                 None => Err(ServeError::protocol(format!("unknown job id {id}"))),
-                Some(JobState::Running) => {
-                    Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"running\"}}"))
-                }
-                Some(JobState::Failed(error)) => {
-                    let mut out =
-                        format!("{{\"ok\":true,\"id\":{id},\"state\":\"failed\",\"error\":");
-                    append_json_string(&mut out, &error.message);
-                    out.push_str(&format!(",\"error_kind\":\"{}\"", error.kind.as_str()));
-                    out.push('}');
-                    Ok(out)
-                }
-                Some(JobState::Done(body)) => {
-                    if cmd == "status" {
-                        Ok(format!("{{\"ok\":true,\"id\":{id},\"state\":\"done\"}}"))
-                    } else {
-                        Ok(format!(
-                            "{{\"ok\":true,\"id\":{id},\"state\":\"done\",\"result\":{body}}}"
-                        ))
+                Some(JobState::Running) => Ok(job_state(id, "running", |_| {})),
+                Some(JobState::Failed(error)) => Ok(job_state(id, "failed", |o| {
+                    o.str("error", &error.message)
+                        .str("error_kind", error.kind.as_str());
+                })),
+                Some(JobState::Done(body)) => Ok(job_state(id, "done", |o| {
+                    if cmd == "result" {
+                        o.raw("result", body);
                     }
-                }
+                })),
             }
         }
         "invalidate" => {
@@ -731,24 +724,13 @@ fn dispatch(text: &str, shared: &Arc<Shared>) -> Result<String, ServeError> {
             let facts = tve_lint::soc_facts(&config, &plan);
             let impact = edit_impact(&facts, &edit, &paper_schedules());
             let evicted = shared.cache.evict_tests(impact.touched_mask);
-            let mut out = format!(
-                "{{\"ok\":true,\"evicted\":{evicted},\"touched_tests\":[{}],\"cores\":[",
-                impact
-                    .touched_tests
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            append_json_strings(&mut out, impact.cores.iter().map(String::as_str), ",");
-            out.push_str("],\"affected_schedules\":[");
-            append_json_strings(
-                &mut out,
-                impact.affected_schedules.iter().map(String::as_str),
-                ",",
-            );
-            out.push_str("]}");
-            Ok(out)
+            Ok(json_line(|o| {
+                o.bool("ok", true)
+                    .num("evicted", evicted)
+                    .nums("touched_tests", &impact.touched_tests)
+                    .strs("cores", &impact.cores)
+                    .strs("affected_schedules", &impact.affected_schedules);
+            }))
         }
         other => Err(ServeError::protocol(format!("unknown command {other:?}"))),
     }
@@ -764,38 +746,48 @@ fn finish_job(shared: &Shared, id: u64, result: &Result<String, ServeError>) {
     shared.jobs_cv.notify_all();
 }
 
+/// The `{"ok":true,"id":…,"state":…}` response of a job-table query,
+/// with any further members written by `more`.
+fn job_state(id: u64, state: &str, more: impl FnOnce(&mut JsonObject)) -> String {
+    json_line(|o| {
+        o.bool("ok", true).num("id", id).str("state", state);
+        more(o);
+    })
+}
+
 fn stats_response(shared: &Shared) -> String {
     let stats = shared.cache.stats();
     let jobs = shared.jobs.lock().expect("job table lock").jobs.len();
     let (running, queued, admitted, shed) = shared.admission.depth();
     let panics = shared.panics.lock().expect("panic log lock");
-    let mut out = format!(
-        "{{\"ok\":true,\"entries\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\
-         \"evicted\":{},\"verified\":{},\"verify_failures\":{},\"jobs\":{jobs},\
-         \"uptime_ms\":{},\"workers\":{},\"running\":{running},\"queued\":{queued},\
-         \"admitted\":{admitted},\"shed\":{shed},\"draining\":{},\"panics\":{}",
-        stats.entries,
-        stats.hits,
-        stats.misses,
-        stats.hit_rate(),
-        stats.evicted,
-        stats.verified,
-        stats.verify_failures,
-        shared.started.elapsed().as_millis(),
-        shared.farm.workers(),
-        shared.draining.load(Ordering::SeqCst) || shared.drain_requested.load(Ordering::SeqCst),
-        panics.len()
-    );
-    if let Some(last) = panics.last() {
-        out.push_str(",\"last_panic\":");
-        append_json_string(&mut out, last);
-    }
-    out.push_str(",\"ops\":");
-    out.push_str(&shared.ops.to_json());
-    out.push_str(",\"chaos\":");
-    out.push_str(&shared.chaos.counters_json());
-    out.push('}');
-    out
+    json_line(|o| {
+        o.bool("ok", true)
+            .num("entries", stats.entries)
+            .num("hits", stats.hits)
+            .num("misses", stats.misses)
+            .fixed("hit_rate", stats.hit_rate(), 6)
+            .num("evicted", stats.evicted)
+            .num("verified", stats.verified)
+            .num("verify_failures", stats.verify_failures)
+            .num("jobs", jobs)
+            .num("uptime_ms", shared.started.elapsed().as_millis())
+            .num("workers", shared.farm.workers())
+            .num("running", running)
+            .num("queued", queued)
+            .num("admitted", admitted)
+            .num("shed", shed)
+            .bool(
+                "draining",
+                shared.draining.load(Ordering::SeqCst)
+                    || shared.drain_requested.load(Ordering::SeqCst),
+            )
+            .num("panics", panics.len());
+        if let Some(last) = panics.last() {
+            o.str("last_panic", last);
+        }
+        o.raw("ops", &shared.ops.to_json())
+            .raw("chaos", &shared.chaos.counters_json());
+    })
 }
 
 fn selected_schedules(indices: &[usize]) -> Vec<Schedule> {
@@ -837,12 +829,16 @@ fn execute_guarded(shared: &Arc<Shared>, job: &JobSpec) -> Result<String, ServeE
 
 fn execute(shared: &Arc<Shared>, job: &JobSpec, ctx: &JobCtx) -> Result<String, ServeError> {
     let started = Instant::now();
-    let body = match &job.kind {
-        JobKind::Schedule { index } => run_schedule_job(shared, job, *index)?,
-        JobKind::Campaign { shard, .. } => run_campaign_job(shared, job, ctx, *shard)?,
-        JobKind::Lint { schedules, program } => run_lint_job(shared, job, schedules, program)?,
-        JobKind::Bounds { schedules } => run_bounds_job(shared, job, schedules)?,
-    };
+    let mut out = String::new();
+    let mut result = JsonObject::new(&mut out, Layout::COMPACT);
+    match &job.kind {
+        JobKind::Schedule { index } => run_schedule_job(shared, job, *index, &mut result)?,
+        JobKind::Campaign { shard, .. } => run_campaign_job(shared, job, ctx, *shard, &mut result)?,
+        JobKind::Lint { schedules, program } => {
+            run_lint_job(shared, job, schedules, program, &mut result)?
+        }
+        JobKind::Bounds { schedules } => run_bounds_job(shared, job, schedules, &mut result)?,
+    }
     if !shared.quiet {
         println!(
             "tve-serve: job done in {:.1} ms ({})",
@@ -857,61 +853,89 @@ fn execute(shared: &Arc<Shared>, job: &JobSpec, ctx: &JobCtx) -> Result<String, 
         );
     }
     // Close the wall-clock over the whole job, cache time included.
-    let wall_us = started.elapsed().as_micros();
-    Ok(format!("{{{body},\"wall_us\":{wall_us}}}"))
+    result.num("wall_us", started.elapsed().as_micros());
+    drop(result);
+    Ok(out)
 }
 
-/// Runs or serves one fault-free schedule; body fields only (caller
-/// wraps the braces and appends timing). Runs on the job thread, so the
-/// job token covers its kernels directly.
-fn run_schedule_job(shared: &Shared, job: &JobSpec, index: usize) -> Result<String, String> {
+const KIND_MISMATCH: &str = "cache kind mismatch (key collision?)";
+
+/// The one cache-or-compute path of the single-entry jobs: a miss is
+/// computed and inserted under `mask`; a hit sampled for verification
+/// at the job's fraction is recomputed and must encode to the same
+/// snapshot record (metrics therefore compare without host timings).
+/// Returns the value and whether it was a hit.
+fn cache_or_compute(
+    shared: &Shared,
+    job: &JobSpec,
+    key: u64,
+    mask: u8,
+    what: impl std::fmt::Display,
+    compute: impl Fn() -> Result<CachedValue, String>,
+) -> Result<(CachedValue, bool), String> {
+    let Some(hit) = shared.cache.lookup(key) else {
+        let fresh = compute()?;
+        shared.cache.insert(key, fresh.clone(), mask);
+        return Ok((fresh, false));
+    };
+    if verify_sampled(key, shared.verify_fraction(job)) {
+        let fresh = compute()?;
+        let ok = entry_payload(key, mask, &fresh) == entry_payload(key, mask, &hit);
+        shared.cache.record_verified(1, u64::from(!ok));
+        if !ok {
+            return Err(format!("verify-cache mismatch on {what}"));
+        }
+    }
+    Ok((hit, true))
+}
+
+/// The cache key of a job over several schedules: FNV-1a over each
+/// schedule's own key.
+fn combined_key(keys: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv1a::new();
+    for key in keys {
+        h.write(format!("{key:#018x}|").as_bytes());
+    }
+    h.finish()
+}
+
+/// Runs or serves one fault-free schedule. Runs on the job thread, so
+/// the job token covers its kernels directly.
+fn run_schedule_job(
+    shared: &Shared,
+    job: &JobSpec,
+    index: usize,
+    result: &mut JsonObject,
+) -> Result<(), String> {
     let (config, plan) = job.workload.build();
     let schedule = selected_schedules(&[index]).remove(0);
     let key = cell_key(&config, &plan, &schedule, "golden");
     let mask = test_mask(&schedule_tests(&schedule));
-    let fraction = shared.verify_fraction(job);
-
-    let (metrics, cached) = match shared.cache.lookup(key) {
-        Some(CachedValue::Metrics(metrics)) => {
-            let metrics = *metrics;
-            if verify_sampled(key, fraction) {
-                let fresh = run_scenario(&config, &plan, &schedule).map_err(|e| e.to_string())?;
-                let ok = fresh.digest() == metrics.digest();
-                shared.cache.record_verified(1, u64::from(!ok));
-                if !ok {
-                    return Err(format!(
-                        "verify-cache mismatch on '{}': cached {:#018x} vs fresh {:#018x}",
-                        schedule.name,
-                        metrics.digest(),
-                        fresh.digest()
-                    ));
-                }
-            }
-            (metrics, true)
-        }
-        Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-        None => {
-            let metrics = run_scenario(&config, &plan, &schedule).map_err(|e| e.to_string())?;
-            shared
-                .cache
-                .insert(key, CachedValue::Metrics(Box::new(metrics.clone())), mask);
-            (metrics, false)
-        }
+    let (value, cached) = cache_or_compute(
+        shared,
+        job,
+        key,
+        mask,
+        format_args!("'{}'", schedule.name),
+        || {
+            run_scenario(&config, &plan, &schedule)
+                .map(|m| CachedValue::Metrics(Box::new(m)))
+                .map_err(|e| e.to_string())
+        },
+    )?;
+    let CachedValue::Metrics(metrics) = value else {
+        return Err(KIND_MISMATCH.into());
     };
-
-    let mut out = String::from("\"kind\":\"schedule\",\"schedule\":");
-    append_json_string(&mut out, &schedule.name);
-    use std::fmt::Write;
-    let _ = write!(
-        out,
-        ",\"digest\":\"{:#018x}\",\"peak\":{:.6},\"avg\":{:.6},\"cycles\":{},\"clean\":{},\"cached\":{cached}",
-        metrics.digest(),
-        metrics.peak_utilization,
-        metrics.avg_utilization,
-        metrics.total_cycles,
-        metrics.result.clean()
-    );
-    Ok(out)
+    result
+        .str("kind", "schedule")
+        .str("schedule", &schedule.name)
+        .str("digest", &format!("{:#018x}", metrics.digest()))
+        .fixed("peak", metrics.peak_utilization, 6)
+        .fixed("avg", metrics.avg_utilization, 6)
+        .num("cycles", metrics.total_cycles)
+        .bool("clean", metrics.result.clean())
+        .bool("cached", cached);
+    Ok(())
 }
 
 /// The result cache as a campaign [`CellStore`]: goldens and cells
@@ -948,8 +972,6 @@ impl CacheStore<'_> {
         })
     }
 }
-
-const KIND_MISMATCH: &str = "cache kind mismatch (key collision?)";
 
 impl CellStore for CacheStore<'_> {
     fn golden(&mut self, schedule: &Schedule) -> Result<Option<Hit<ScenarioMetrics>>, String> {
@@ -1026,7 +1048,8 @@ fn run_campaign_job(
     job: &JobSpec,
     ctx: &JobCtx,
     shard: Option<ShardSpec>,
-) -> Result<String, ServeError> {
+    result: &mut JsonObject,
+) -> Result<(), ServeError> {
     // The one canonical construction (shared with merging clients):
     // equal job fields mean an equal matrix on both ends of the socket.
     let campaign = job
@@ -1059,65 +1082,43 @@ fn run_campaign_job(
         )
         .into());
     }
-    use std::fmt::Write;
     if shard.is_some() {
         let shard_report = pipeline.shard_report(shard_spec, run);
-        let mut out = format!(
-            "\"kind\":\"campaign-shard\",\"shard\":\"{shard_spec}\",\
-             \"fingerprint\":\"{:016x}\",\"cells\":{},\
-             \"cells_simulated\":{},\
-             \"goldens_simulated\":{},\
-             \"diagnoses_simulated\":{},\
-             \"verified\":{verified},\"shard_json\":",
-            shard_report.fingerprint,
-            shard_report.cells.len(),
-            counts.cells_simulated,
-            counts.goldens_simulated,
-            counts.diagnoses_simulated,
-        );
-        append_json_string(&mut out, &shard_report.to_json());
-        return Ok(out);
+        result
+            .str("kind", "campaign-shard")
+            .str("shard", &shard_spec.to_string())
+            .hex("fingerprint", shard_report.fingerprint)
+            .num("cells", shard_report.cells.len())
+            .num("cells_simulated", counts.cells_simulated)
+            .num("goldens_simulated", counts.goldens_simulated)
+            .num("diagnoses_simulated", counts.diagnoses_simulated)
+            .num("verified", verified)
+            .str("shard_json", &shard_report.to_json());
+        return Ok(());
     }
 
     let cells = run.cells.into_iter().map(|(_, cell)| cell).collect();
     let report = pipeline.report(cells, run.diagnosis);
     let csv = report.to_csv();
-    let json = report.to_json();
-    let mut out = String::with_capacity(csv.len() + json.len() + 512);
-    let _ = write!(
-        out,
-        "\"kind\":\"campaign\",\"cells\":{},\"cells_simulated\":{},\
-         \"cells_cached\":{},\"goldens_simulated\":{},\
-         \"diagnoses_simulated\":{},\"verified\":{verified},\
-         \"csv_digest\":\"{:#018x}\",\"union_escapes\":{},\
-         \"all_diagnoses_confirmed\":{},\"coverage\":[",
-        report.cells.len(),
-        counts.cells_simulated,
-        counts.cells_stored,
-        counts.goldens_simulated,
-        counts.diagnoses_simulated,
-        fnv1a(csv.as_bytes()),
-        report.union_escapes().len(),
-        report.all_diagnoses_confirmed()
-    );
-    for (i, schedule) in report.schedules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"schedule\":");
-        append_json_string(&mut out, schedule);
-        let _ = write!(
-            out,
-            ",\"core_coverage\":{:.6},\"escapes\":{}}}",
-            report.core_coverage(schedule),
-            report.escapes(schedule).len()
-        );
-    }
-    out.push_str("],\"csv\":");
-    append_json_string(&mut out, &csv);
-    out.push_str(",\"json\":");
-    append_json_string(&mut out, &json);
-    Ok(out)
+    result
+        .str("kind", "campaign")
+        .num("cells", report.cells.len())
+        .num("cells_simulated", counts.cells_simulated)
+        .num("cells_cached", counts.cells_stored)
+        .num("goldens_simulated", counts.goldens_simulated)
+        .num("diagnoses_simulated", counts.diagnoses_simulated)
+        .num("verified", verified)
+        .str("csv_digest", &format!("{:#018x}", fnv1a(csv.as_bytes())))
+        .num("union_escapes", report.union_escapes().len())
+        .bool("all_diagnoses_confirmed", report.all_diagnoses_confirmed())
+        .objs("coverage", &report.schedules, |row, schedule| {
+            row.str("schedule", schedule)
+                .fixed("core_coverage", report.core_coverage(schedule), 6)
+                .num("escapes", report.escapes(schedule).len());
+        })
+        .str("csv", &csv)
+        .str("json", &report.to_json());
+    Ok(())
 }
 
 fn run_lint_job(
@@ -1125,30 +1126,20 @@ fn run_lint_job(
     job: &JobSpec,
     schedule_indices: &[usize],
     program: &Option<(String, String)>,
-) -> Result<String, String> {
+    result: &mut JsonObject,
+) -> Result<(), String> {
     let (config, plan) = job.workload.build();
     let schedules = selected_schedules(schedule_indices);
-    let fraction = shared.verify_fraction(job);
+    let program = program.as_ref().map(|(n, t)| (n.as_str(), t.as_str()));
     // One cache entry per lint job shape: key over every schedule plus
     // the program. Lint consumes the whole plan (facts), so the key
     // uses no projection and the entry carries the full test mask.
-    let mut key_text = String::new();
-    for schedule in &schedules {
-        use std::fmt::Write;
-        let _ = write!(
-            key_text,
-            "{:#018x}|",
-            lint_key(
-                &config,
-                &plan,
-                schedule,
-                program.as_ref().map(|(n, t)| (n.as_str(), t.as_str()))
-            )
-        );
-    }
-    let key = fnv1a(key_text.as_bytes());
-
-    let compute = || -> (String, usize, usize) {
+    let key = combined_key(
+        schedules
+            .iter()
+            .map(|schedule| lint_key(&config, &plan, schedule, program)),
+    );
+    let (value, cached) = cache_or_compute(shared, job, key, 0x7f, "lint report", || {
         let facts = tve_lint::soc_facts(&config, &plan);
         let mut reports: Vec<tve_lint::LintReport> = schedules
             .iter()
@@ -1157,56 +1148,27 @@ fn run_lint_job(
         if let Some((name, text)) = program {
             reports.push(tve_lint::lint_program_report(name, text, &facts));
         }
-        let errors = reports
-            .iter()
-            .flat_map(|r| &r.diagnostics)
-            .filter(|d| d.severity == tve_lint::Severity::Error)
-            .count();
-        let warnings = reports
-            .iter()
-            .flat_map(|r| &r.diagnostics)
-            .filter(|d| d.severity == tve_lint::Severity::Warning)
-            .count();
-        (tve_lint::reports_to_json(&reports), errors, warnings)
+        Ok(CachedValue::Lint {
+            report: tve_lint::reports_to_json(&reports),
+            errors: reports.iter().map(|r| r.error_count()).sum(),
+            warnings: reports.iter().map(|r| r.warning_count()).sum(),
+        })
+    })?;
+    let CachedValue::Lint {
+        report,
+        errors,
+        warnings,
+    } = value
+    else {
+        return Err(KIND_MISMATCH.into());
     };
-
-    let (report, errors, warnings, cached) = match shared.cache.lookup(key) {
-        Some(CachedValue::Lint {
-            report,
-            errors,
-            warnings,
-        }) => {
-            if verify_sampled(key, fraction) {
-                let (fresh, fresh_errors, fresh_warnings) = compute();
-                let ok = fresh == report && fresh_errors == errors && fresh_warnings == warnings;
-                shared.cache.record_verified(1, u64::from(!ok));
-                if !ok {
-                    return Err("verify-cache mismatch on lint report".into());
-                }
-            }
-            (report, errors, warnings, true)
-        }
-        Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-        None => {
-            let (report, errors, warnings) = compute();
-            shared.cache.insert(
-                key,
-                CachedValue::Lint {
-                    report: report.clone(),
-                    errors,
-                    warnings,
-                },
-                0x7f,
-            );
-            (report, errors, warnings, false)
-        }
-    };
-
-    let mut out = format!(
-        "\"kind\":\"lint\",\"errors\":{errors},\"warnings\":{warnings},\"cached\":{cached},\"report\":"
-    );
-    append_json_string(&mut out, &report);
-    Ok(out)
+    result
+        .str("kind", "lint")
+        .num("errors", errors)
+        .num("warnings", warnings)
+        .bool("cached", cached)
+        .str("report", &report);
+    Ok(())
 }
 
 /// Serves a certified static bounds job: a pure analysis of the
@@ -1217,56 +1179,34 @@ fn run_bounds_job(
     shared: &Shared,
     job: &JobSpec,
     schedule_indices: &[usize],
-) -> Result<String, String> {
+    result: &mut JsonObject,
+) -> Result<(), String> {
     let (config, plan) = job.workload.build();
     let schedules = selected_schedules(schedule_indices);
-    let fraction = shared.verify_fraction(job);
     // One cache entry per job shape: key over every schedule's bounds
     // key. The envelopes consume the whole plan, so the entry carries
     // the full test mask.
-    let mut key_text = String::new();
-    for schedule in &schedules {
-        use std::fmt::Write;
-        let _ = write!(key_text, "{:#018x}|", bounds_key(&config, &plan, schedule));
-    }
-    let key = fnv1a(key_text.as_bytes());
-
-    let compute = || -> String {
-        tve_lint::bounds_reports_to_json(&tve_lint::schedule_envelopes(
-            &config, &plan, &schedules, 0,
-        ))
-    };
-
-    let (report, cached) = match shared.cache.lookup(key) {
-        Some(CachedValue::Bounds { report }) => {
-            if verify_sampled(key, fraction) {
-                let fresh = compute();
-                let ok = fresh == report;
-                shared.cache.record_verified(1, u64::from(!ok));
-                if !ok {
-                    return Err("verify-cache mismatch on bounds report".into());
-                }
-            }
-            (report, true)
-        }
-        Some(_) => return Err("cache kind mismatch (key collision?)".into()),
-        None => {
-            let report = compute();
-            shared.cache.insert(
-                key,
-                CachedValue::Bounds {
-                    report: report.clone(),
-                },
-                0x7f,
-            );
-            (report, false)
-        }
-    };
-
-    let mut out = format!(
-        "\"kind\":\"bounds\",\"schedules\":{},\"cached\":{cached},\"report\":",
-        schedules.len()
+    let key = combined_key(
+        schedules
+            .iter()
+            .map(|schedule| bounds_key(&config, &plan, schedule)),
     );
-    append_json_string(&mut out, &report);
-    Ok(out)
+    let (value, cached) = cache_or_compute(shared, job, key, 0x7f, "bounds report", || {
+        let envelopes = schedules
+            .iter()
+            .map(|s| tve_lint::schedule_envelope(&config, &plan, s))
+            .collect::<Vec<_>>();
+        Ok(CachedValue::Bounds {
+            report: tve_lint::bounds_reports_to_json(&envelopes),
+        })
+    })?;
+    let CachedValue::Bounds { report } = value else {
+        return Err(KIND_MISMATCH.into());
+    };
+    result
+        .str("kind", "bounds")
+        .num("schedules", schedules.len())
+        .bool("cached", cached)
+        .str("report", &report);
+    Ok(())
 }

@@ -12,7 +12,7 @@
 //!
 //! (`retry_after_ms` only on kinds where retrying can help).
 
-use tve_obs::append_json_string;
+use tve_obs::json_line;
 
 /// The machine-readable classes of daemon failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,16 +105,14 @@ impl ServeError {
 
     /// Renders the `{"ok":false,...}` response frame.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"ok\":false,\"error\":");
-        append_json_string(&mut out, &self.message);
-        out.push_str(",\"error_kind\":\"");
-        out.push_str(self.kind.as_str());
-        out.push('"');
-        if let Some(ms) = self.retry_after_ms {
-            out.push_str(&format!(",\"retry_after_ms\":{ms}"));
-        }
-        out.push('}');
-        out
+        json_line(|o| {
+            o.bool("ok", false)
+                .str("error", &self.message)
+                .str("error_kind", self.kind.as_str());
+            if let Some(ms) = self.retry_after_ms {
+                o.num("retry_after_ms", ms);
+            }
+        })
     }
 }
 

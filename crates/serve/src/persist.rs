@@ -4,24 +4,23 @@
 //! The file is a `tve-obs` [journal](tve_obs::Journal) — one
 //! CRC-guarded single-line JSON record per line — so a truncated or
 //! bit-flipped snapshot degrades to its valid prefix and *reports* the
-//! damage instead of resurrecting corrupt results. Floats are stored as
-//! `f64::to_bits` hex so a reloaded [`ScenarioMetrics`] digest is
-//! bit-for-bit the digest that was cached; host CPU timings (which the
-//! digest deliberately ignores) are zeroed on reload. `--verify-cache`
-//! sampling after a restart is therefore a real proof: a re-executed
-//! hit is compared against the *persisted* result.
+//! damage instead of resurrecting corrupt results. Records are encoded
+//! by `tve_campaign`'s wire writers, the same encoding shard reports
+//! and resume journals use: metrics keep every float as `f64::to_bits`
+//! hex, so a reloaded [`ScenarioMetrics`](tve_soc::ScenarioMetrics)
+//! digest is bit-for-bit the digest that was cached, and host CPU
+//! timings (which the digest deliberately ignores) are zero on reload.
+//! `--verify-cache` sampling after a restart is therefore a real proof:
+//! a re-executed hit is compared against the *persisted* result.
 
 use std::io;
 use std::path::Path;
 
-use tve_campaign::{diagnosis_from_json, diagnosis_to_json, CellOutcome};
-use tve_core::{TestOutcome, TestSlot};
-use tve_obs::{
-    append_json_string, append_json_strings, read_journal, IoPolicy, Journal, JournalDefect,
-    JsonValue,
+use tve_campaign::{
+    diagnosis_from_json, metrics_from_json, outcome_from_json, write_diagnosis, write_metrics,
+    write_outcome,
 };
-use tve_sim::Time;
-use tve_soc::{PowerSummary, ScenarioMetrics};
+use tve_obs::{json_line, read_journal, IoPolicy, Journal, JournalDefect, JsonValue};
 
 use crate::cache::{CachedValue, ResultCache};
 
@@ -35,303 +34,55 @@ pub struct CacheLoad {
     pub defect: Option<JournalDefect>,
 }
 
-fn hex_u64(v: u64) -> String {
-    format!("{v:x}")
-}
+/// The snapshot format version: 2 encodes every record through
+/// `tve_campaign`'s wire writers. A snapshot of any other version is
+/// refused, never half-read.
+const SNAPSHOT_VERSION: u64 = 2;
 
-fn want_hex(v: &JsonValue, key: &str, what: &str) -> Result<u64, String> {
-    let text = v
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("{what} record missing hex field '{key}'"))?;
-    u64::from_str_radix(text, 16).map_err(|_| format!("{what} field '{key}' is not hex"))
-}
-
-fn want_str(v: &JsonValue, key: &str, what: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what} record missing string field '{key}'"))
-}
-
-fn append_bits(out: &mut String, value: f64) {
-    out.push('"');
-    out.push_str(&format!("{:016x}", value.to_bits()));
-    out.push('"');
-}
-
-fn want_bits(v: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    Ok(f64::from_bits(want_hex(v, key, what)?))
-}
-
-fn append_metrics(out: &mut String, m: &ScenarioMetrics) {
-    out.push_str("{\"schedule\":");
-    append_json_string(out, &m.schedule);
-    out.push_str(",\"peak\":");
-    append_bits(out, m.peak_utilization);
-    out.push_str(",\"avg\":");
-    append_bits(out, m.avg_utilization);
-    out.push_str(&format!(
-        ",\"total_cycles\":\"{}\",\"power\":",
-        hex_u64(m.total_cycles)
-    ));
-    match &m.power {
-        None => out.push_str("null"),
-        Some(p) => {
-            out.push_str("{\"peak\":");
-            append_bits(out, p.peak);
-            out.push_str(",\"average\":");
-            append_bits(out, p.average);
-            out.push_str(",\"energy\":");
-            append_bits(out, p.energy);
-            out.push_str(",\"per_source\":[");
-            for (i, (name, energy)) in p.per_source.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                append_json_string(out, name);
-                out.push(',');
-                append_bits(out, *energy);
-                out.push(']');
+pub(crate) fn entry_payload(key: u64, mask: u8, value: &CachedValue) -> String {
+    json_line(|o| {
+        o.hex("key", key).num("mask", mask);
+        match value {
+            CachedValue::Metrics(m) => {
+                write_metrics(&mut o.str("type", "metrics").obj("metrics"), m)
             }
-            out.push_str("]}");
+            CachedValue::Cell(outcome) => write_outcome(o.str("type", "cell"), outcome),
+            CachedValue::Diagnosis(check) => {
+                write_diagnosis(&mut o.str("type", "diag").obj("check"), check, true)
+            }
+            CachedValue::Lint {
+                report,
+                errors,
+                warnings,
+            } => {
+                o.str("type", "lint")
+                    .num("errors", errors)
+                    .num("warnings", warnings)
+                    .str("report", report);
+            }
+            CachedValue::Bounds { report } => {
+                o.str("type", "bounds").str("report", report);
+            }
         }
-    }
-    out.push_str(&format!(
-        ",\"result_cycles\":\"{}\",\"slots\":[",
-        hex_u64(m.result.total_cycles)
-    ));
-    for (i, slot) in m.result.slots.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let o = &slot.outcome;
-        out.push_str(&format!("{{\"phase\":{},\"name\":", slot.phase));
-        append_json_string(out, &o.name);
-        out.push_str(&format!(
-            ",\"patterns\":\"{}\",\"stimulus\":\"{}\",\"response\":\"{}\",\"signature\":",
-            hex_u64(o.patterns),
-            hex_u64(o.stimulus_bits),
-            hex_u64(o.response_bits)
-        ));
-        match o.signature {
-            Some(s) => out.push_str(&format!("\"{}\"", hex_u64(s))),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(
-            ",\"mismatches\":\"{}\",\"errors\":\"{}\",\"failing\":[{}],\"start\":\"{}\",\"end\":\"{}\"}}",
-            hex_u64(o.mismatches),
-            hex_u64(o.errors),
-            o.failing_addresses
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-            hex_u64(o.start.cycles()),
-            hex_u64(o.end.cycles())
-        ));
-    }
-    out.push_str("]}");
-}
-
-fn metrics_from_json(v: &JsonValue) -> Result<ScenarioMetrics, String> {
-    let schedule = want_str(v, "schedule", "metrics")?;
-    let power = match v.get("power") {
-        None | Some(JsonValue::Null) => None,
-        Some(p) => {
-            let per_source = p
-                .get("per_source")
-                .and_then(JsonValue::as_arr)
-                .ok_or("power record missing 'per_source'")?
-                .iter()
-                .map(|pair| {
-                    let items = pair.as_arr().filter(|a| a.len() == 2);
-                    match items {
-                        Some([JsonValue::Str(name), JsonValue::Str(bits)]) => {
-                            let bits = u64::from_str_radix(bits, 16)
-                                .map_err(|_| "per_source energy is not hex".to_string())?;
-                            Ok((name.clone(), f64::from_bits(bits)))
-                        }
-                        _ => Err("per_source wants [name, hex-bits] pairs".to_string()),
-                    }
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Some(PowerSummary {
-                peak: want_bits(p, "peak", "power")?,
-                average: want_bits(p, "average", "power")?,
-                energy: want_bits(p, "energy", "power")?,
-                per_source,
-            })
-        }
-    };
-    let slots = v
-        .get("slots")
-        .and_then(JsonValue::as_arr)
-        .ok_or("metrics record missing 'slots'")?
-        .iter()
-        .map(|slot| {
-            let failing = slot
-                .get("failing")
-                .and_then(JsonValue::as_arr)
-                .ok_or("slot record missing 'failing'")?
-                .iter()
-                .map(|a| {
-                    a.as_u64()
-                        .and_then(|a| u32::try_from(a).ok())
-                        .ok_or_else(|| "failing address is not a u32".to_string())
-                })
-                .collect::<Result<Vec<u32>, String>>()?;
-            let signature = match slot.get("signature") {
-                None | Some(JsonValue::Null) => None,
-                Some(_) => Some(want_hex(slot, "signature", "slot")?),
-            };
-            Ok(TestSlot {
-                phase: slot
-                    .get("phase")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("slot record missing 'phase'")? as usize,
-                outcome: TestOutcome {
-                    name: want_str(slot, "name", "slot")?,
-                    patterns: want_hex(slot, "patterns", "slot")?,
-                    stimulus_bits: want_hex(slot, "stimulus", "slot")?,
-                    response_bits: want_hex(slot, "response", "slot")?,
-                    signature,
-                    mismatches: want_hex(slot, "mismatches", "slot")?,
-                    errors: want_hex(slot, "errors", "slot")?,
-                    failing_addresses: failing,
-                    start: Time::from_cycles(want_hex(slot, "start", "slot")?),
-                    end: Time::from_cycles(want_hex(slot, "end", "slot")?),
-                },
-            })
-        })
-        .collect::<Result<Vec<TestSlot>, String>>()?;
-    Ok(ScenarioMetrics {
-        peak_utilization: want_bits(v, "peak", "metrics")?,
-        avg_utilization: want_bits(v, "avg", "metrics")?,
-        total_cycles: want_hex(v, "total_cycles", "metrics")?,
-        cpu: std::time::Duration::ZERO,
-        power,
-        result: tve_core::ScheduleResult {
-            schedule: schedule.clone(),
-            total_cycles: want_hex(v, "result_cycles", "metrics")?,
-            slots,
-            wall: std::time::Duration::ZERO,
-        },
-        schedule,
     })
 }
 
-fn append_outcome(out: &mut String, outcome: &CellOutcome) {
-    out.push_str("{\"tag\":");
-    append_json_string(out, outcome.tag());
-    match outcome {
-        CellOutcome::Detected {
-            latency_cycles,
-            deviating,
-        } => {
-            out.push_str(&format!(
-                ",\"latency\":\"{}\",\"deviating\":[",
-                hex_u64(*latency_cycles)
-            ));
-            append_json_strings(out, deviating.iter().map(String::as_str), ",");
-            out.push(']');
-        }
-        CellOutcome::Escape => {}
-        CellOutcome::InfraFailure { error } => {
-            out.push_str(",\"error\":");
-            append_json_string(out, error);
-        }
-    }
-    out.push('}');
-}
-
-fn outcome_from_json(v: &JsonValue) -> Result<CellOutcome, String> {
-    match v.get("tag").and_then(JsonValue::as_str) {
-        Some("detected") => Ok(CellOutcome::Detected {
-            latency_cycles: want_hex(v, "latency", "detected outcome")?,
-            deviating: v
-                .get("deviating")
-                .and_then(JsonValue::as_str_vec)
-                .ok_or("detected outcome missing string-array 'deviating'")?,
-        }),
-        Some("escape") => Ok(CellOutcome::Escape),
-        Some("infra-failure") => Ok(CellOutcome::InfraFailure {
-            error: want_str(v, "error", "infra-failure outcome")?,
-        }),
-        other => Err(format!("unknown outcome tag {other:?}")),
-    }
-}
-
-fn entry_payload(key: u64, mask: u8, value: &CachedValue) -> String {
-    let mut out = format!("{{\"key\":\"{:016x}\",\"mask\":{mask},", key);
-    match value {
-        CachedValue::Metrics(m) => {
-            out.push_str("\"type\":\"metrics\",\"metrics\":");
-            append_metrics(&mut out, m);
-        }
-        CachedValue::Cell(outcome) => {
-            out.push_str("\"type\":\"cell\",\"outcome\":");
-            append_outcome(&mut out, outcome);
-        }
-        CachedValue::Diagnosis(check) => {
-            out.push_str("\"type\":\"diag\",\"check\":");
-            out.push_str(&diagnosis_to_json(check));
-        }
-        CachedValue::Lint {
-            report,
-            errors,
-            warnings,
-        } => {
-            out.push_str(&format!(
-                "\"type\":\"lint\",\"errors\":{errors},\"warnings\":{warnings},\"report\":"
-            ));
-            append_json_string(&mut out, report);
-        }
-        CachedValue::Bounds { report } => {
-            out.push_str("\"type\":\"bounds\",\"report\":");
-            append_json_string(&mut out, report);
-        }
-    }
-    out.push('}');
-    out
-}
-
 fn entry_from_json(v: &JsonValue) -> Result<(u64, u8, CachedValue), String> {
-    let key = want_hex(v, "key", "cache entry")?;
-    let mask = u8::try_from(
-        v.get("mask")
-            .and_then(JsonValue::as_u64)
-            .ok_or("cache entry missing 'mask'")?,
-    )
-    .map_err(|_| "cache entry 'mask' overflows u8")?;
-    let value = match v.get("type").and_then(JsonValue::as_str) {
-        Some("metrics") => CachedValue::Metrics(Box::new(metrics_from_json(
-            v.get("metrics").ok_or("metrics entry missing 'metrics'")?,
-        )?)),
-        Some("cell") => CachedValue::Cell(outcome_from_json(
-            v.get("outcome").ok_or("cell entry missing 'outcome'")?,
-        )?),
-        Some("diag") => CachedValue::Diagnosis(Box::new(diagnosis_from_json(
-            v.get("check").ok_or("diag entry missing 'check'")?,
-        )?)),
-        Some("lint") => CachedValue::Lint {
-            report: want_str(v, "report", "lint entry")?,
-            errors: v
-                .get("errors")
-                .and_then(JsonValue::as_u64)
-                .ok_or("lint entry missing 'errors'")? as usize,
-            warnings: v
-                .get("warnings")
-                .and_then(JsonValue::as_u64)
-                .ok_or("lint entry missing 'warnings'")? as usize,
+    let value = match v.str_field("type")? {
+        "metrics" => CachedValue::Metrics(Box::new(metrics_from_json(v.field("metrics")?)?)),
+        "cell" => CachedValue::Cell(outcome_from_json(v)?),
+        "diag" => CachedValue::Diagnosis(Box::new(diagnosis_from_json(v.field("check")?)?)),
+        "lint" => CachedValue::Lint {
+            report: v.str_field("report")?.to_string(),
+            errors: v.int_field("errors")?,
+            warnings: v.int_field("warnings")?,
         },
-        Some("bounds") => CachedValue::Bounds {
-            report: want_str(v, "report", "bounds entry")?,
+        "bounds" => CachedValue::Bounds {
+            report: v.str_field("report")?.to_string(),
         },
         other => return Err(format!("unknown cache entry type {other:?}")),
     };
-    Ok((key, mask, value))
+    Ok((v.hex_field("key")?, v.int_field("mask")?, value))
 }
 
 /// Writes every cache entry to `path` (key order, so equal caches write
@@ -359,7 +110,10 @@ pub fn save_cache_with(cache: &ResultCache, path: &Path, policy: &IoPolicy) -> i
     let tmp = path.with_extension("tmp");
     let write_all = || -> io::Result<()> {
         let mut journal = Journal::create_with(&tmp, policy)?;
-        journal.append("{\"kind\":\"tve-serve-cache\",\"version\":1}")?;
+        journal.append(&json_line(|o| {
+            o.str("kind", "tve-serve-cache")
+                .num("version", SNAPSHOT_VERSION);
+        }))?;
         for (key, mask, value) in &entries {
             journal.append(&entry_payload(*key, *mask, value))?;
         }
@@ -390,10 +144,10 @@ pub fn load_cache(cache: &ResultCache, path: &Path) -> Result<CacheLoad, String>
     let mut records = contents.records.iter();
     let header = records.next().ok_or("cache file has no header record")?;
     if header.get("kind").and_then(JsonValue::as_str) != Some("tve-serve-cache")
-        || header.get("version").and_then(JsonValue::as_u64) != Some(1)
+        || header.get("version").and_then(JsonValue::as_u64) != Some(SNAPSHOT_VERSION)
     {
         return Err(format!(
-            "{} is not a tve-serve cache snapshot",
+            "{} is not a tve-serve cache snapshot of version {SNAPSHOT_VERSION}",
             path.display()
         ));
     }
@@ -412,7 +166,10 @@ pub fn load_cache(cache: &ResultCache, path: &Path) -> Result<CacheLoad, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tve_core::ScheduleResult;
+    use tve_campaign::CellOutcome;
+    use tve_core::{ScheduleResult, TestOutcome, TestSlot};
+    use tve_sim::Time;
+    use tve_soc::{PowerSummary, ScenarioMetrics};
 
     fn awkward_metrics() -> ScenarioMetrics {
         ScenarioMetrics {
@@ -453,8 +210,7 @@ mod tests {
     #[test]
     fn metrics_round_trip_preserves_the_digest() {
         let metrics = awkward_metrics();
-        let mut text = String::new();
-        append_metrics(&mut text, &metrics);
+        let text = json_line(|o| write_metrics(o, &metrics));
         tve_obs::check_json(&text).unwrap_or_else(|e| panic!("bad JSON {text}: {e}"));
         let back = metrics_from_json(&tve_obs::parse_json(&text).unwrap()).unwrap();
         assert_eq!(
@@ -524,12 +280,21 @@ mod tests {
             })),
             0,
         );
+        // The largest latency a JSON number carries exactly.
+        cache.insert(
+            8,
+            CachedValue::Cell(CellOutcome::Detected {
+                latency_cycles: 1 << 53,
+                deviating: vec![],
+            }),
+            0b1,
+        );
         let saved = save_cache(&cache, &path).unwrap();
-        assert_eq!(saved, 7);
+        assert_eq!(saved, 8);
 
         let restored = ResultCache::new();
         let load = load_cache(&restored, &path).unwrap();
-        assert_eq!(load.loaded, 7);
+        assert_eq!(load.loaded, 8);
         assert!(load.defect.is_none());
         for (a, b) in cache.export().iter().zip(restored.export()) {
             assert_eq!(a.0, b.0, "keys match");
@@ -538,8 +303,21 @@ mod tests {
         match restored.peek(1) {
             Some(CachedValue::Metrics(m)) => {
                 assert_eq!(m.digest(), awkward_metrics().digest());
+                // Values above 2^53 survive exactly, not only through
+                // the digest.
+                let o = &m.result.slots[0].outcome;
+                assert_eq!(m.total_cycles, (1 << 60) + 3);
+                assert_eq!(o.stimulus_bits, u64::MAX);
+                assert_eq!(o.signature, Some(u64::MAX - 1));
+                assert_eq!(o.end, Time::from_cycles((1 << 55) + 1));
             }
             other => panic!("expected metrics, got {other:?}"),
+        }
+        match restored.peek(8) {
+            Some(CachedValue::Cell(CellOutcome::Detected { latency_cycles, .. })) => {
+                assert_eq!(latency_cycles, 1 << 53);
+            }
+            other => panic!("expected a detected cell, got {other:?}"),
         }
         match restored.peek(7) {
             Some(CachedValue::Bounds { report }) => {
@@ -623,6 +401,41 @@ mod tests {
         assert!(load_cache(&ResultCache::new(), &alien)
             .unwrap_err()
             .contains("not a tve-serve cache"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_snapshot_is_refused_and_fails_the_daemon_start() {
+        let dir = std::env::temp_dir().join(format!("tve-persist-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.journal");
+        let mut j = Journal::create(&path).unwrap();
+        j.append("{\"kind\":\"tve-serve-cache\",\"version\":1}")
+            .unwrap();
+        j.append(
+            "{\"key\":\"0000000000000001\",\"mask\":0,\"type\":\"cell\",\"outcome\":{\"tag\":\"escape\"}}",
+        )
+        .unwrap();
+        drop(j);
+
+        let err = load_cache(&ResultCache::new(), &path).unwrap_err();
+        assert!(err.contains("not a tve-serve cache snapshot"), "{err}");
+
+        let options = crate::ServeOptions {
+            socket: dir.join("d.sock"),
+            workers: Some(1),
+            quiet: true,
+            cache_file: Some(path),
+            ..crate::ServeOptions::default()
+        };
+        let err = crate::spawn(&options)
+            .err()
+            .expect("a v1 snapshot fails the start");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("not a tve-serve cache snapshot"),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

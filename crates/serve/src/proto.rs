@@ -4,9 +4,8 @@
 //! Every message — request or response — is one frame: a 4-byte
 //! little-endian payload length followed by exactly that many bytes of
 //! UTF-8 JSON. JSON is read with `tve-obs`'s serde-free
-//! [`parse_json`](tve_obs::parse_json) and written by hand with
-//! [`append_json_string`](tve_obs::append_json_string) — no new
-//! dependencies anywhere on the wire.
+//! [`parse_json`](tve_obs::parse_json) and written with its
+//! [`JsonObject`] writer — no new dependencies anywhere on the wire.
 //!
 //! Requests are objects with a `cmd` member (`ping`, `submit`,
 //! `status`, `result`, `stats`, `invalidate`, `shutdown`); responses
@@ -16,7 +15,7 @@
 use std::io::{self, Read, Write};
 
 use tve_campaign::{generate, CampaignConfig, PopulationSpec, ShardSpec};
-use tve_obs::JsonValue;
+use tve_obs::{json_line, JsonObject, JsonValue};
 use tve_soc::{paper_schedules, PlanOverrides, Workload, WorkloadPreset, PLAN_OVERRIDE_KEYS};
 
 /// Upper bound on one frame's payload (a full campaign matrix embeds
@@ -115,36 +114,23 @@ pub enum JobKind {
     },
 }
 
-/// Appends `workload` as a JSON object.
-pub fn encode_workload(workload: &Workload, out: &mut String) {
-    use std::fmt::Write;
-    let _ = write!(
-        out,
-        "{{\"preset\":\"{}\",\"scale\":{}",
-        workload.preset.name(),
-        workload.scale
-    );
+/// Writes `workload`'s members.
+pub fn write_workload(obj: &mut JsonObject, workload: &Workload) {
+    obj.str("preset", workload.preset.name())
+        .num("scale", workload.scale);
     if let Some(words) = workload.mem_words {
-        let _ = write!(out, ",\"mem_words\":{words}");
+        obj.num("mem_words", words);
     }
     if !workload.overrides.is_empty() {
-        out.push_str(",\"overrides\":");
-        encode_overrides(&workload.overrides, out);
+        write_overrides(&mut obj.obj("overrides"), &workload.overrides);
     }
-    out.push('}');
 }
 
-/// Appends `overrides` as a JSON object.
-pub fn encode_overrides(overrides: &PlanOverrides, out: &mut String) {
-    use std::fmt::Write;
-    out.push('{');
-    for (i, (key, value)) in overrides.entries().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{key}\":{value}");
+/// Writes `overrides` as members, one per set key.
+pub fn write_overrides(obj: &mut JsonObject, overrides: &PlanOverrides) {
+    for (key, value) in overrides.entries() {
+        obj.num(key, value);
     }
-    out.push('}');
 }
 
 /// Decodes a workload object.
@@ -219,71 +205,45 @@ fn decode_indices(v: Option<&JsonValue>, what: &str) -> Result<Vec<usize>, Strin
 impl JobSpec {
     /// Renders the job as its wire JSON object.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\"kind\":");
-        match &self.kind {
-            JobKind::Schedule { index } => {
-                let _ = write!(out, "\"schedule\",\"schedule\":{index}");
-            }
-            JobKind::Campaign {
-                schedules,
-                seed,
-                faults,
-                diagnosis,
-                shard,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"campaign\",\"schedules\":[{}],\"seed\":{seed},\"faults\":{faults},\"diagnosis\":{diagnosis}",
-                    schedules
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
-                if let Some(shard) = shard {
-                    let _ = write!(out, ",\"shard\":\"{shard}\"");
+        json_line(|o| {
+            match &self.kind {
+                JobKind::Schedule { index } => {
+                    o.str("kind", "schedule").num("schedule", index);
+                }
+                JobKind::Campaign {
+                    schedules,
+                    seed,
+                    faults,
+                    diagnosis,
+                    shard,
+                } => {
+                    o.str("kind", "campaign")
+                        .nums("schedules", schedules)
+                        .num("seed", seed)
+                        .num("faults", faults)
+                        .bool("diagnosis", *diagnosis);
+                    if let Some(shard) = shard {
+                        o.str("shard", &shard.to_string());
+                    }
+                }
+                JobKind::Lint { schedules, program } => {
+                    o.str("kind", "lint").nums("schedules", schedules);
+                    if let Some((name, text)) = program {
+                        o.str("program_name", name).str("program", text);
+                    }
+                }
+                JobKind::Bounds { schedules } => {
+                    o.str("kind", "bounds").nums("schedules", schedules);
                 }
             }
-            JobKind::Lint { schedules, program } => {
-                let _ = write!(
-                    out,
-                    "\"lint\",\"schedules\":[{}]",
-                    schedules
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
-                if let Some((name, text)) = program {
-                    out.push_str(",\"program_name\":");
-                    tve_obs::append_json_string(&mut out, name);
-                    out.push_str(",\"program\":");
-                    tve_obs::append_json_string(&mut out, text);
-                }
+            write_workload(&mut o.obj("workload"), &self.workload);
+            if let Some(fraction) = self.verify {
+                o.num("verify", fraction);
             }
-            JobKind::Bounds { schedules } => {
-                let _ = write!(
-                    out,
-                    "\"bounds\",\"schedules\":[{}]",
-                    schedules
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
+            if let Some(deadline) = self.deadline_ms {
+                o.num("deadline_ms", deadline);
             }
-        }
-        out.push_str(",\"workload\":");
-        encode_workload(&self.workload, &mut out);
-        if let Some(fraction) = self.verify {
-            let _ = write!(out, ",\"verify\":{fraction}");
-        }
-        if let Some(deadline) = self.deadline_ms {
-            let _ = write!(out, ",\"deadline_ms\":{deadline}");
-        }
-        out.push('}');
-        out
+        })
     }
 
     /// Decodes a wire job object.

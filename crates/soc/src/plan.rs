@@ -361,44 +361,37 @@ impl ScenarioMetrics {
     /// how many farm workers ran alongside; see `tve-sched`'s farm
     /// determinism tests.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
-        eat(self.schedule.as_bytes());
-        eat(&self.peak_utilization.to_bits().to_le_bytes());
-        eat(&self.avg_utilization.to_bits().to_le_bytes());
-        eat(&self.total_cycles.to_le_bytes());
+        let mut h = tve_obs::Fnv1a::new();
+        h.write(self.schedule.as_bytes());
+        h.write(&self.peak_utilization.to_bits().to_le_bytes());
+        h.write(&self.avg_utilization.to_bits().to_le_bytes());
+        h.write(&self.total_cycles.to_le_bytes());
         if let Some(p) = &self.power {
-            eat(&p.peak.to_bits().to_le_bytes());
-            eat(&p.average.to_bits().to_le_bytes());
-            eat(&p.energy.to_bits().to_le_bytes());
+            h.write(&p.peak.to_bits().to_le_bytes());
+            h.write(&p.average.to_bits().to_le_bytes());
+            h.write(&p.energy.to_bits().to_le_bytes());
             for (name, energy) in &p.per_source {
-                eat(name.as_bytes());
-                eat(&energy.to_bits().to_le_bytes());
+                h.write(name.as_bytes());
+                h.write(&energy.to_bits().to_le_bytes());
             }
         }
         for slot in &self.result.slots {
             let o = &slot.outcome;
-            eat(&(slot.phase as u64).to_le_bytes());
-            eat(o.name.as_bytes());
-            eat(&o.patterns.to_le_bytes());
-            eat(&o.stimulus_bits.to_le_bytes());
-            eat(&o.response_bits.to_le_bytes());
-            eat(&o.signature.unwrap_or(0).to_le_bytes());
-            eat(&o.mismatches.to_le_bytes());
-            eat(&o.errors.to_le_bytes());
+            h.write(&(slot.phase as u64).to_le_bytes());
+            h.write(o.name.as_bytes());
+            h.write(&o.patterns.to_le_bytes());
+            h.write(&o.stimulus_bits.to_le_bytes());
+            h.write(&o.response_bits.to_le_bytes());
+            h.write(&o.signature.unwrap_or(0).to_le_bytes());
+            h.write(&o.mismatches.to_le_bytes());
+            h.write(&o.errors.to_le_bytes());
             for addr in &o.failing_addresses {
-                eat(&addr.to_le_bytes());
+                h.write(&addr.to_le_bytes());
             }
-            eat(&o.start.cycles().to_le_bytes());
-            eat(&o.end.cycles().to_le_bytes());
+            h.write(&o.start.cycles().to_le_bytes());
+            h.write(&o.end.cycles().to_le_bytes());
         }
-        h
+        h.finish()
     }
 }
 
