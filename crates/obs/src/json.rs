@@ -14,7 +14,7 @@
 //! bracket when dropped. A [`Layout`] picks the separators: compact
 //! (`,` `:`) for wire records and protocol frames, spaced (`, ` `: `)
 //! for single-line artifact records, or one member per line for the
-//! pretty artifacts. Every JSON byte the workspace emits goes through
+//! pretty artifacts. The workspace's JSON encoders all write through
 //! them, so one escaping rule and one number format hold everywhere.
 
 use std::fmt::{self, Write as _};
@@ -480,19 +480,28 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
 /// the one escaping rule of every JSON writer in the workspace.
 pub fn append_json_string(out: &mut String, text: &str) {
     out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Copy the runs between escapes whole; every byte that needs one is
+    // ASCII, so the run boundaries are char boundaries.
+    let mut run = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&text[run..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
         }
+        run = i + 1;
     }
+    out.push_str(&text[run..]);
     out.push('"');
 }
 
@@ -724,8 +733,7 @@ impl<'a> JsonObject<'a> {
         JsonObject::new(self.0.next(Some(key)), layout)
     }
 
-    /// Opens an array member in this object's nested layout.
-    pub fn arr(&mut self, key: &str) -> JsonArray<'_> {
+    fn arr(&mut self, key: &str) -> JsonArray<'_> {
         let layout = self.0.layout.nested();
         self.arr_in(key, layout)
     }
@@ -739,7 +747,7 @@ impl<'a> JsonObject<'a> {
 /// A compact single-line object filled by `write`: a wire record or a
 /// protocol frame.
 pub fn json_line(write: impl FnOnce(&mut JsonObject)) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(128);
     write(&mut JsonObject::new(&mut out, Layout::COMPACT));
     out
 }

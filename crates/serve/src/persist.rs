@@ -39,6 +39,9 @@ pub struct CacheLoad {
 /// refused, never half-read.
 const SNAPSHOT_VERSION: u64 = 2;
 
+/// One snapshot record: the entry's key, test mask and value. The
+/// daemon also compares a verified hit with its recomputation by
+/// these records.
 pub(crate) fn entry_payload(key: u64, mask: u8, value: &CachedValue) -> String {
     json_line(|o| {
         o.hex("key", key).num("mask", mask);
