@@ -52,7 +52,8 @@ use tve_campaign::{
 use tve_obs::{IoPolicy, JsonValue, WriteFault};
 use tve_sched::Farm;
 use tve_serve::{
-    spawn, submit_with_retry, Client, DaemonHandle, JobKind, JobSpec, RetryPolicy, ServeOptions,
+    spawn, submit_request, submit_with_retry, Client, DaemonHandle, JobKind, JobSpec, RetryPolicy,
+    ServeOptions,
 };
 use tve_soc::{paper_schedules, SocConfig, SocTestPlan, Workload};
 
@@ -205,10 +206,7 @@ fn main() {
     let mut client = Client::connect(&daemon.socket).unwrap_or_else(|e| fail(&e.to_string()));
     let t = Instant::now();
     let error = client
-        .request_typed(&format!(
-            "{{\"cmd\":\"submit\",\"wait\":true,\"job\":{}}}",
-            campaign_job(Some(1)).to_json()
-        ))
+        .request_typed(&submit_request(&campaign_job(Some(1)), true))
         .err()
         .unwrap_or_else(|| fail("a 1 ms campaign deadline was not exceeded"));
     let cancel_latency_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -257,10 +255,7 @@ fn main() {
                     *seed = CAMPAIGN_SEED + 1 + k as u64;
                 }
                 let mut c = Client::connect(&socket).expect("overload client connects");
-                c.request_typed(&format!(
-                    "{{\"cmd\":\"submit\",\"wait\":true,\"job\":{}}}",
-                    job.to_json()
-                ))
+                c.request_typed(&submit_request(&job, true))
             })
         })
         .collect();

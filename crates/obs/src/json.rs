@@ -214,6 +214,7 @@ impl fmt::Display for JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -373,22 +374,14 @@ impl<'a> Parser<'a> {
                 }
                 _ if b < 0x20 => return Err(self.err("unescaped control character in string")),
                 _ => {
-                    // Re-take the full UTF-8 sequence from the source.
+                    // Copy the run up to the next quote, escape or
+                    // control byte whole: those bytes are ASCII, so the
+                    // run ends on a char boundary of the input `str`.
                     let start = self.pos - 1;
-                    let len = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    match std::str::from_utf8(&self.bytes[start..end]) {
-                        Ok(s) => {
-                            out.push_str(s);
-                            self.pos = end;
-                        }
-                        Err(_) => return Err(self.err("invalid UTF-8 in string")),
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
                     }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -445,9 +438,8 @@ impl<'a> Parser<'a> {
             }
             self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number span is ASCII by construction");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err("unrepresentable number"))
     }
@@ -465,6 +457,7 @@ impl<'a> Parser<'a> {
 /// ```
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };

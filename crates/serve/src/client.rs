@@ -152,8 +152,9 @@ pub fn submit_with_retry(
         .ok_or_else(|| DaemonError::transport("submit response had no result"))
 }
 
-/// The `submit` request frame for `job`.
-fn submit_request(job: &JobSpec, wait: bool) -> String {
+/// The `submit` request frame for `job`; with `wait` the daemon answers
+/// once the job has finished.
+pub fn submit_request(job: &JobSpec, wait: bool) -> String {
     json_line(|o| {
         o.str("cmd", "submit")
             .bool("wait", wait)

@@ -40,8 +40,7 @@ use tve_campaign::{
 };
 use tve_core::Schedule;
 use tve_obs::{
-    fnv1a, json_line, parse_json, Fnv1a, IoPolicy, JsonObject, JsonValue, Layout, OpsCounters,
-    WriteFault,
+    fnv1a, json_line, parse_json, IoPolicy, JsonObject, JsonValue, Layout, OpsCounters, WriteFault,
 };
 use tve_sched::{panic_message, ChaosFault, ChaosHook, Farm, SupervisePolicy};
 use tve_sim::{silence_cancelled_panics, with_cancel_token, CancelToken, Cancelled};
@@ -52,7 +51,9 @@ use crate::cache::{CachedValue, ResultCache};
 use crate::chaos::{ChaosSite, ChaosSpec};
 use crate::error::ServeError;
 use crate::invalidate::edit_impact;
-use crate::key::{bounds_key, cell_key, diagnosis_key, lint_key, schedule_tests, test_mask};
+use crate::key::{
+    bounds_key, cell_key, combined_key, diagnosis_key, lint_key, schedule_tests, test_mask,
+};
 use crate::persist::entry_payload;
 use crate::proto::{read_frame, write_frame, JobKind, JobSpec};
 
@@ -887,16 +888,6 @@ fn cache_or_compute(
         }
     }
     Ok((hit, true))
-}
-
-/// The cache key of a job over several schedules: FNV-1a over each
-/// schedule's own key.
-fn combined_key(keys: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = Fnv1a::new();
-    for key in keys {
-        h.write(format!("{key:#018x}|").as_bytes());
-    }
-    h.finish()
 }
 
 /// Runs or serves one fault-free schedule. Runs on the job thread, so

@@ -21,7 +21,7 @@
 //! and different inputs differently within this binary.
 
 use tve_core::Schedule;
-use tve_obs::fnv1a;
+use tve_obs::{fnv1a, Fnv1a};
 use tve_soc::{SocConfig, SocTestPlan};
 
 /// The distinct test indices a schedule runs, ascending.
@@ -145,6 +145,16 @@ pub fn bounds_key(config: &SocConfig, plan: &SocTestPlan, schedule: &Schedule) -
         schedule.name, schedule.phases
     );
     fnv1a(text.as_bytes())
+}
+
+/// The cache key of a job over several schedules: FNV-1a over the
+/// schedules' own keys.
+pub(crate) fn combined_key(keys: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv1a::new();
+    for key in keys {
+        h.write(format!("{key:#018x}|").as_bytes());
+    }
+    h.finish()
 }
 
 #[cfg(test)]

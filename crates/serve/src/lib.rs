@@ -60,7 +60,8 @@ pub use admission::{Admission, AdmissionConfig, Shed, Ticket};
 pub use cache::{CacheStats, CachedValue, ResultCache};
 pub use chaos::{ChaosSite, ChaosSpec};
 pub use client::{
-    request_with_retry, result_request, submit_with_retry, Client, DaemonError, RetryPolicy,
+    request_with_retry, result_request, submit_request, submit_with_retry, Client, DaemonError,
+    RetryPolicy,
 };
 pub use daemon::{serve, spawn, DaemonHandle, ServeOptions, DEFAULT_SOCKET};
 pub use error::{ErrorKind, ServeError};
